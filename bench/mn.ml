@@ -42,15 +42,15 @@ let horizon ~floor ~n ~ratio =
   Stdlib.max floor (int_of_float (4.0 *. d *. d))
 
 (* Run [warmup] silent rounds, then sample max load each round for
-   [window] rounds.  [step] advances exactly one round. *)
-let sample ~warmup ~window ~step ~max_load ~threshold =
+   [window] rounds. *)
+let sample ~warmup ~window ~threshold (e : Engine.t) =
   for _ = 1 to warmup do
-    step ()
+    e.step ()
   done;
   let sum = ref 0 and peak = ref 0 and legit = ref 0 in
   for _ = 1 to window do
-    step ();
-    let x = max_load () in
+    e.step ();
+    let x = e.max_load () in
     sum := !sum + x;
     if x > !peak then peak := x;
     if x <= threshold then incr legit
@@ -68,10 +68,7 @@ let counts_row ~quick ~n ~seed ratio =
   let p = Counts_process.create ~rng ~init:(Config.balanced ~n ~m) () in
   let threshold = Config.legitimacy_threshold ~m n in
   let mean_max, peak_max, legit_fraction =
-    sample ~warmup ~window
-      ~step:(fun () -> Counts_process.run p ~rounds:1)
-      ~max_load:(fun () -> Counts_process.max_load p)
-      ~threshold
+    sample ~warmup ~window ~threshold (Counts_process.engine p)
   in
   { ratio; m; warmup; window; mean_max; peak_max; threshold; legit_fraction }
 
@@ -88,12 +85,7 @@ let balls_mean ~quick ~n ~seed ~d_choices ratio =
   let p =
     Process.create ~d_choices ~rng ~init:(Config.balanced ~n ~m) ()
   in
-  let mean, _, _ =
-    sample ~warmup ~window
-      ~step:(fun () -> Process.run p ~rounds:1)
-      ~max_load:(fun () -> Process.max_load p)
-      ~threshold:0
-  in
+  let mean, _, _ = sample ~warmup ~window ~threshold:0 (Process.engine p) in
   mean
 
 let run ?(quick = false) () =

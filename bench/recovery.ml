@@ -27,11 +27,13 @@ let run ?(quick = false) () =
     "\n=== RECOVERY: rounds-to-relegitimacy after transient faults (n=%d, \
      %d episodes, Theorem 1 bound O(n)) ===\n\n"
     n episodes;
+  let engine ?shards ?domains n =
+    Rbb_sim.Engines.create ?shards ?domains ~kind:Balls
+      ~rng:(Rbb_prng.Rng.create ~seed ())
+      ~init:(Config.uniform ~n) ()
+  in
   let measure_with action =
-    let rng = Rbb_prng.Rng.create ~seed () in
-    Rbb_sim.Recovery.measure ~driver:Adversary.process_driver ~action ~episodes
-      ~max_recovery
-      (Process.create ~rng ~init:(Config.uniform ~n) ())
+    Rbb_sim.Recovery.measure ~action ~episodes ~max_recovery (engine n)
   in
   let report (r : Rbb_sim.Recovery.t) seconds =
     let recovered =
@@ -62,19 +64,13 @@ let run ?(quick = false) () =
   let check_n = if quick then 256 else 1024 in
   let check_eps = 2 in
   let sharded_json, process_json =
-    let measure driver engine =
+    let measure engine =
       Rbb_sim.Recovery.to_json
-        (Rbb_sim.Recovery.measure ~driver ~action:(Adversary.Pile_into 0)
+        (Rbb_sim.Recovery.measure ~action:(Adversary.Pile_into 0)
            ~episodes:check_eps ~max_recovery:(100 * check_n) engine)
     in
-    ( measure Rbb_sim.Sharded.adversary_driver
-        (Rbb_sim.Sharded.create ~shards:2 ~domains:2
-           ~rng:(Rbb_prng.Rng.create ~seed ())
-           ~init:(Config.uniform ~n:check_n) ()),
-      measure Adversary.process_driver
-        (Process.create
-           ~rng:(Rbb_prng.Rng.create ~seed ())
-           ~init:(Config.uniform ~n:check_n) ()) )
+    ( measure (engine ~shards:2 ~domains:2 check_n),
+      measure (engine check_n) )
   in
   let identical = String.equal sharded_json process_json in
   Printf.printf "engine-identical episode series : %b (n=%d)\n" identical

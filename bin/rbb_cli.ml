@@ -92,11 +92,11 @@ let make_init name rng ~n ~m =
 
 let engine_conv =
   let parse s =
-    match s with
-    | "balls" | "counts" -> Ok s
-    | _ -> Error (`Msg "expected one of: balls, counts")
+    match Engine.kind_of_name s with
+    | Some k -> Ok k
+    | None -> Error (`Msg "expected one of: balls, counts")
   in
-  Arg.conv (parse, Format.pp_print_string)
+  Arg.conv (parse, fun ppf k -> Format.pp_print_string ppf (Engine.kind_name k))
 
 let engine_t =
   let doc =
@@ -264,9 +264,9 @@ let load_checkpoint path =
 
 (* simulate ----------------------------------------------------------- *)
 
-let simulate n balls rounds seed init_name engine d shards domains report_every
-    telemetry_path metrics_prom trace_ndjson trace_every chrome_trace
-    checkpoint_path checkpoint_every resume_from failpoint_specs =
+let simulate n balls rounds seed init_name engine_flag d shards domains
+    report_every telemetry_path metrics_prom trace_ndjson trace_every
+    chrome_trace checkpoint_path checkpoint_every resume_from failpoint_specs =
   if rounds < 0 then invalid_arg "simulate: --rounds must be nonnegative";
   if shards < 1 then invalid_arg "simulate: --shards must be at least 1";
   if domains < 1 then invalid_arg "simulate: --domains must be at least 1";
@@ -306,26 +306,25 @@ let simulate n balls rounds seed init_name engine d shards domains report_every
      families consume randomness under different laws, so switching
      mid-trajectory cannot be an exact resume.  An explicit conflicting
      --engine is an error rather than silently ignored. *)
-  let counts =
-    match (engine, snap) with
-    | None, None -> false
-    | None, Some s -> s.Rbb_sim.Checkpoint.kind = Rbb_sim.Checkpoint.Counts
-    | Some e, Some s ->
-        let counts = s.Rbb_sim.Checkpoint.kind = Rbb_sim.Checkpoint.Counts in
-        if (e = "counts") <> counts then
-          invalid_arg
-            (Printf.sprintf
-               "simulate: --engine %s conflicts with the checkpoint, which \
-                was written by the %s engine"
-               e
-               (if counts then "counts" else "balls"))
-        else counts
-    | Some e, None -> e = "counts"
+  let kind =
+    match (engine_flag, snap) with
+    | None, None -> Engine.Balls
+    | None, Some s -> s.Rbb_sim.Checkpoint.kind
+    | Some e, Some s when e <> s.Rbb_sim.Checkpoint.kind ->
+        invalid_arg
+          (Printf.sprintf
+             "simulate: --engine %s conflicts with the checkpoint, which was \
+              written by the %s engine"
+             (Engine.kind_name e)
+             (Engine.kind_name s.Rbb_sim.Checkpoint.kind))
+    | Some e, _ -> e
   in
-  if counts && d > 1 then
+  (* Checked here rather than left to the engine chooser so a bad flag
+     combination fails before any trace or metrics file is opened. *)
+  if kind = Counts && d > 1 then
     invalid_arg
       "simulate: the counts engine supports uniform re-assignment only (-d 1)";
-  if counts && Rbb_sim.Failpoint.enabled failpoints then
+  if kind = Counts && Rbb_sim.Failpoint.enabled failpoints then
     invalid_arg
       "simulate: failpoints guard the per-ball sharded engine; the counts \
        engine has no failpoint surface";
@@ -351,9 +350,6 @@ let simulate n balls rounds seed init_name engine d shards domains report_every
     Rbb_obs.Registry.probe ~threshold:(Config.legitimacy_threshold ~m n)
       registry
   in
-  (match snap with
-  | None -> ()
-  | Some s -> Rbb_sim.Checkpoint.restore_counters tel s);
   let tracer =
     tracer_of ~m ~n ~every:trace_every ~ndjson:trace_ndjson
       ~chrome:chrome_trace ()
@@ -372,110 +368,49 @@ let simulate n balls rounds seed init_name engine d shards domains report_every
   | Some s ->
       Printf.printf "resumed from %s at round %d\n"
         (Option.get resume_from) s.Rbb_sim.Checkpoint.round);
-  (* One driving loop for both engines: step, observe, and publish the
-     checkpoint on schedule (every K rounds, and always at the end). *)
-  let drive ~step ~max_load ~empty_bins ~capture =
-    let save () =
-      Option.iter
-        (fun path -> Rbb_sim.Checkpoint.save ~path (capture ()))
-        checkpoint_path
-    in
-    (* Per-round latency for the registry is timed here, around the
-       whole step, so every engine variant lands in the same
-       rbb_round_seconds histogram. *)
-    let step =
-      if Rbb_obs.Registry.enabled registry then fun () ->
-        let t0 = rprobe.Probe.now () in
-        step ();
-        rprobe.Probe.latency (Int64.sub (rprobe.Probe.now ()) t0)
-      else step
-    in
-    for r = start_round + 1 to rounds do
-      step ();
-      observe r ~max_load:(max_load ()) ~empty_bins:(empty_bins ());
-      if (checkpoint_every > 0 && r mod checkpoint_every = 0) || r = rounds
-      then save ()
-    done;
-    if rounds = start_round then save ();
-    Option.iter (Printf.printf "wrote checkpoint to %s\n") checkpoint_path
-  in
   (* Within each engine family the sequential and parallel variants
      share the randomness law, so the output below is identical
-     whichever one runs; sharding only changes wall-clock time.
-     Telemetry and tracing come from inside the engines (probes), so no
-     trajectory depends on them.  Failpoints only guard the per-ball
-     sharded engine's phases, so arming one forces it. *)
-  if counts && (shards > 1 || domains > 1) then begin
-    let p =
-      match snap with
-      | Some s -> Rbb_sim.Checkpoint.to_sharded_counts ~telemetry:tel ~tracer ~domains s
-      | None ->
-          let rng = rng_of_seed seed in
-          let init = make_init init_name rng ~n ~m in
-          Rbb_sim.Sharded_counts.create ~telemetry:tel ~tracer ~domains ~rng
-            ~init ()
-    in
-    drive
-      ~step:(fun () -> Rbb_sim.Sharded_counts.step p)
-      ~max_load:(fun () -> Rbb_sim.Sharded_counts.max_load p)
-      ~empty_bins:(fun () -> Rbb_sim.Sharded_counts.empty_bins p)
-      ~capture:(fun () -> Rbb_sim.Checkpoint.capture_sharded_counts p)
-  end
-  else if counts then begin
-    let p =
-      match snap with
-      | Some s -> Rbb_sim.Checkpoint.to_counts s
-      | None ->
-          let rng = rng_of_seed seed in
-          let init = make_init init_name rng ~n ~m in
-          Counts_process.create ~rng ~init ()
-    in
-    let probe =
-      Probe.compose (Rbb_sim.Telemetry.probe tel) (Rbb_sim.Tracer.probe tracer)
-    in
-    drive
-      ~step:(fun () -> Counts_process.run ~probe p ~rounds:1)
-      ~max_load:(fun () -> Counts_process.max_load p)
-      ~empty_bins:(fun () -> Counts_process.empty_bins p)
-      ~capture:(fun () -> Rbb_sim.Checkpoint.capture_counts ~telemetry:tel p)
-  end
-  else if shards > 1 || domains > 1 || Rbb_sim.Failpoint.enabled failpoints
-  then begin
-    let p =
-      match snap with
-      | Some s ->
-          Rbb_sim.Checkpoint.to_sharded ~telemetry:tel ~tracer ~failpoints
-            ~supervisor ~shards ~domains s
-      | None ->
-          let rng = rng_of_seed seed in
-          let init = make_init init_name rng ~n ~m in
-          Rbb_sim.Sharded.create ~telemetry:tel ~tracer ~failpoints ~supervisor
-            ~d_choices:d ~shards ~domains ~rng ~init ()
-    in
-    drive
-      ~step:(fun () -> Rbb_sim.Sharded.step p)
-      ~max_load:(fun () -> Rbb_sim.Sharded.max_load p)
-      ~empty_bins:(fun () -> Rbb_sim.Sharded.empty_bins p)
-      ~capture:(fun () -> Rbb_sim.Checkpoint.capture_sharded p)
-  end
-  else begin
-    let p =
-      match snap with
-      | Some s -> Rbb_sim.Checkpoint.to_process s
-      | None ->
-          let rng = rng_of_seed seed in
-          let init = make_init init_name rng ~n ~m in
-          Process.create ~d_choices:d ~rng ~init ()
-    in
-    let probe =
-      Probe.compose (Rbb_sim.Telemetry.probe tel) (Rbb_sim.Tracer.probe tracer)
-    in
-    drive
-      ~step:(fun () -> Process.run ~probe p ~rounds:1)
-      ~max_load:(fun () -> Process.max_load p)
-      ~empty_bins:(fun () -> Process.empty_bins p)
-      ~capture:(fun () -> Rbb_sim.Checkpoint.capture_process ~telemetry:tel p)
-  end;
+     whichever one the chooser picks; sharding only changes wall-clock
+     time.  Telemetry and tracing come from inside the engines (probes
+     or attached sinks), so no trajectory depends on them. *)
+  let engine =
+    match snap with
+    | Some s ->
+        Rbb_sim.Engines.restore ~telemetry:tel ~tracer ~failpoints ~supervisor
+          ~shards ~domains s
+    | None ->
+        let rng = rng_of_seed seed in
+        let init = make_init init_name rng ~n ~m in
+        Rbb_sim.Engines.create ~telemetry:tel ~tracer ~failpoints ~supervisor
+          ~d_choices:d ~shards ~domains ~kind ~rng ~init ()
+  in
+  let save () =
+    Option.iter
+      (fun path ->
+        Rbb_sim.Checkpoint.save ~path
+          (Rbb_sim.Checkpoint.capture ~telemetry:tel engine))
+      checkpoint_path
+  in
+  (* Per-round latency for the registry is timed here, around the whole
+     step, so every engine lands in the same rbb_round_seconds
+     histogram. *)
+  let step =
+    if Rbb_obs.Registry.enabled registry then fun () ->
+      let t0 = rprobe.Probe.now () in
+      engine.step ();
+      rprobe.Probe.latency (Int64.sub (rprobe.Probe.now ()) t0)
+    else engine.step
+  in
+  (* Step, observe, and publish the checkpoint on schedule (every K
+     rounds, and always at the end). *)
+  for r = start_round + 1 to rounds do
+    step ();
+    observe r ~max_load:(engine.max_load ()) ~empty_bins:(engine.empty_bins ());
+    if (checkpoint_every > 0 && r mod checkpoint_every = 0) || r = rounds then
+      save ()
+  done;
+  if rounds = start_round then save ();
+  Option.iter (Printf.printf "wrote checkpoint to %s\n") checkpoint_path;
   (* The m = n rendering (no " m=" token, "(4 ln n)" label) is pinned
      by cram tests; m only surfaces when it differs. *)
   Printf.printf
@@ -487,9 +422,7 @@ let simulate n balls rounds seed init_name engine d shards domains report_every
      rounds below n/4 empty : %d\n"
     n
     (if m <> n then Printf.sprintf " m=%d" m else "")
-    rounds d
-    (if counts then "counts" else "balls")
-    init_name seed
+    rounds d (Engine.kind_name kind) init_name seed
     (Metrics.running_max_load metrics)
     (Metrics.mean_max_load metrics)
     (Config.legitimacy_threshold ~m n)
@@ -716,11 +649,13 @@ let cover_cmd =
 
 let adversary n rounds seed gamma =
   let rng = rng_of_seed seed in
-  let p = Process.create ~rng ~init:(Config.uniform ~n) () in
+  let engine =
+    Rbb_sim.Engines.create ~kind:Balls ~rng ~init:(Config.uniform ~n) ()
+  in
   let metrics =
     Adversary.run_with_faults
       ~schedule:(Adversary.Every (gamma * n))
-      ~action:(Adversary.Pile_into 0) ~rounds p
+      ~action:(Adversary.Pile_into 0) ~rounds engine
   in
   Printf.printf
     "adversarial run: n=%d rounds=%d fault period=%dn\n\
@@ -731,9 +666,9 @@ let adversary n rounds seed gamma =
     n rounds gamma
     (Metrics.running_max_load metrics)
     (Metrics.mean_max_load metrics)
-    (Process.max_load p)
+    (engine.max_load ())
     (Config.legitimacy_threshold n)
-    (Process.max_load p <= Config.legitimacy_threshold n)
+    (engine.max_load () <= Config.legitimacy_threshold n)
 
 let adversary_cmd =
   let rounds_t =
@@ -767,18 +702,12 @@ let recover n balls seed action_name target shift episodes max_recovery beta
   (* Balanced start: identical to "uniform" at m = n, and the natural
      legitimate baseline for any other ball count. *)
   let init = Config.balanced ~n ~m:balls in
-  (* The measurement is engine-generic; both drivers produce identical
-     episode series from the same creation rng state, so the engine
-     choice mirrors `simulate`'s: parallel only when asked for. *)
+  (* The measurement is engine-generic; the sequential and parallel
+     engines produce identical episode series from the same creation rng
+     state, so the chooser goes parallel only when asked to. *)
   let r =
-    if shards > 1 || domains > 1 then
-      Rbb_sim.Recovery.measure ~beta ~driver:Rbb_sim.Sharded.adversary_driver
-        ~action ~episodes ~max_recovery
-        (Rbb_sim.Sharded.create ~shards ~domains ~rng ~init ())
-    else
-      Rbb_sim.Recovery.measure ~beta ~driver:Adversary.process_driver ~action
-        ~episodes ~max_recovery
-        (Process.create ~rng ~init ())
+    Rbb_sim.Recovery.measure ~beta ~action ~episodes ~max_recovery
+      (Rbb_sim.Engines.create ~shards ~domains ~kind:Balls ~rng ~init ())
   in
   Printf.printf
     "recovery after transient faults (Theorem 1 says O(n) w.h.p.)\n\
@@ -1313,22 +1242,11 @@ let socket_t =
     & opt string "rbb-serve.sock"
     & info [ "socket" ] ~docv:"PATH" ~doc)
 
-let engine_conv =
-  let parse = function
-    | "balls" -> Ok Rbb_serve.Protocol.Balls
-    | "counts" -> Ok Rbb_serve.Protocol.Counts
-    | _ -> Error (`Msg "expected one of: balls, counts")
-  in
-  let print ppf e =
-    Format.pp_print_string ppf (Rbb_serve.Protocol.engine_name e)
-  in
-  Arg.conv (parse, print)
-
 let job_engine_t =
   let doc = "Job engine: $(b,balls) (per-ball) or $(b,counts) (count-based)." in
   Arg.(
     value
-    & opt engine_conv Rbb_serve.Protocol.Balls
+    & opt engine_conv Engine.Balls
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let serve socket state_dir workers queue_depth checkpoint_every max_frame

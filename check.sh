@@ -228,4 +228,19 @@ grep -q '"acked_jobs_lost":0' "$tracedir/chaos.json" \
   && grep -q '"identity_violations":0' "$tracedir/chaos.json" \
   || { echo "check.sh: chaos campaign JSON missing clean verdicts"; exit 1; }
 
+# Benchmark smoke: quick runs of the repository benchmark, whose own
+# gates cover resume identity, 2-domain bit-identity and job-result
+# byte identity.  run.py exits 0 whatever the gates say, so the result
+# line (the last one) must report correct with no failed operation.
+for workload in stationary serve_closed; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
+    --quick --trace 0 > "$tracedir/perfbench.out" \
+    || { echo "check.sh: perfbench $workload did not run"; exit 1; }
+  python3 -c 'import json, sys
+r = json.loads(sys.stdin.read().splitlines()[-1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+    < "$tracedir/perfbench.out" \
+    || { echo "check.sh: perfbench $workload failed its gates"; exit 1; }
+done
+
 echo "check.sh: all green"

@@ -26,41 +26,13 @@ let perturb action rng q =
       let shift = ((k mod n) + n) mod n in
       Config.of_array (Array.init n (fun u -> src.((u - shift + n) mod n)))
 
-(* Engine-generic driving.  The adversary only needs a handful of
-   operations from the engine it perturbs; packaging them as a record
-   lets [Rbb_sim.Sharded] (which this library cannot depend on) reuse
-   the exact same fault loop, draw for draw, as the sequential path. *)
-type 'a driver = {
-  step : 'a -> unit;
-  config : 'a -> Config.t;
-  set_config : 'a -> Config.t -> unit;
-  rng : 'a -> Rbb_prng.Rng.t;
-  n : 'a -> int;
-  max_load : 'a -> int;
-  empty_bins : 'a -> int;
-}
-
-let process_driver =
-  {
-    step = Process.step;
-    config = Process.config;
-    set_config = Process.set_config;
-    rng = Process.rng;
-    n = Process.n;
-    max_load = Process.max_load;
-    empty_bins = Process.empty_bins;
-  }
-
-let run_with_faults_driver (d : 'a driver) ~schedule ~action ~rounds engine =
-  let metrics = Metrics.create ~n:(d.n engine) in
+let run_with_faults ~schedule ~action ~rounds (e : Engine.t) =
+  let metrics = Metrics.create ~n:e.n in
   for r = 1 to rounds do
     if is_faulty_round schedule r then
-      d.set_config engine (perturb action (d.rng engine) (d.config engine));
-    d.step engine;
-    Metrics.observe metrics ~max_load:(d.max_load engine)
-      ~empty_bins:(d.empty_bins engine)
+      e.set_config (perturb action e.rng (e.config ()));
+    e.step ();
+    Metrics.observe metrics ~max_load:(e.max_load ())
+      ~empty_bins:(e.empty_bins ())
   done;
   metrics
-
-let run_with_faults ~schedule ~action ~rounds process =
-  run_with_faults_driver process_driver ~schedule ~action ~rounds process

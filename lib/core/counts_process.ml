@@ -65,9 +65,6 @@ let restore ?(capacity = 1) ~rng ~master ~round ~init () =
 let n t = Array.length t.loads
 let balls t = t.m
 let round t = t.round
-let rng t = t.rng
-let master t = t.master
-let capacity t = t.capacity
 
 let load t u =
   if u < 0 || u >= Array.length t.loads then
@@ -169,7 +166,9 @@ let settle_block ~loads ~arrivals ~capacity ~lo ~hi =
   done;
   (!max_l, !empty, !out)
 
-let step t =
+(* Phase 1: split every source block's released total over destination
+   blocks, one release stream per block. *)
+let release t =
   let bins = Array.length t.loads in
   let blocks = Process.shard_count ~bins in
   if not t.block_out_valid then scan_block_out t;
@@ -184,9 +183,16 @@ let step t =
       Rbb_prng.Multinomial.split_blocks t.pool ~count ~bins ~block_bits
         ~into:t.block_in
     end
-  done;
+  done
+
+(* Phase 2: place every destination block's arrivals over its bins and
+   settle the slice, refreshing next round's release totals while the
+   slice is in cache. *)
+let place t =
+  let bins = Array.length t.loads in
+  let engine = Rbb_prng.Rng.engine t.rng in
   let max_l = ref 0 and empty = ref 0 in
-  for b = 0 to blocks - 1 do
+  for b = 0 to Process.shard_count ~bins - 1 do
     place_block ~pool:t.pool ~engine ~master:t.master ~round:t.round ~bins
       ~arrivals:t.arrivals ~block:b ~count:t.block_in.(b);
     let lo, hi = Process.shard_bounds ~bins ~shard:b in
@@ -202,52 +208,28 @@ let step t =
   t.empty <- !empty;
   t.round <- t.round + 1
 
-(* [step] with per-phase probe timing and tracing; see Process.step_timed
-   for the pattern. *)
+let step t =
+  release t;
+  place t
+
+(* [step] with per-phase probe timing and tracing around the same two
+   phases; see Process.step_timed for the pattern. *)
 let step_timed t ~(probe : Probe.t) =
-  let bins = Array.length t.loads in
-  let blocks = Process.shard_count ~bins in
-  if not t.block_out_valid then scan_block_out t;
-  Array.fill t.block_in 0 blocks 0;
-  let engine = Rbb_prng.Rng.engine t.rng in
   let t0 = probe.now () in
-  for b = 0 to blocks - 1 do
-    let count = t.block_out.(b) in
-    if count > 0 then begin
-      Rbb_prng.Multinomial.reset t.pool
-        (Rbb_prng.Stream.for_shard ~engine ~master:t.master ~round:t.round
-           ~shard:b ());
-      Rbb_prng.Multinomial.split_blocks t.pool ~count ~bins ~block_bits
-        ~into:t.block_in
-    end
-  done;
+  release t;
   let t1 = probe.now () in
-  let max_l = ref 0 and empty = ref 0 in
-  for b = 0 to blocks - 1 do
-    place_block ~pool:t.pool ~engine ~master:t.master ~round:t.round ~bins
-      ~arrivals:t.arrivals ~block:b ~count:t.block_in.(b);
-    let lo, hi = Process.shard_bounds ~bins ~shard:b in
-    let ml, e, out =
-      settle_block ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity
-        ~lo ~hi
-    in
-    t.block_out.(b) <- out;
-    if ml > !max_l then max_l := ml;
-    empty := !empty + e
-  done;
-  t.max_load <- !max_l;
-  t.empty <- !empty;
-  t.round <- t.round + 1;
+  place t;
   let t2 = probe.now () in
   probe.timer_add "counts.release" (Int64.sub t1 t0);
   probe.timer_add "counts.place" (Int64.sub t2 t1);
   probe.latency (Int64.sub t2 t0);
   probe.add "counts.rounds" 1;
-  probe.add "counts.release.blocks" blocks;
+  probe.add "counts.release.blocks" (Process.shard_count ~bins:(n t));
   if probe.tracing then begin
     probe.on_span ~name:"counts.release" ~worker:0 ~round:t.round ~t0 ~t1;
     probe.on_span ~name:"counts.place" ~worker:0 ~round:t.round ~t0:t1 ~t1:t2;
-    probe.on_round ~round:t.round ~max_load:!max_l ~empty_bins:!empty ~balls:t.m
+    probe.on_round ~round:t.round ~max_load:t.max_load ~empty_bins:t.empty
+      ~balls:t.m
   end
 
 let run ?(probe = Probe.noop) t ~rounds =
@@ -283,13 +265,20 @@ let run_until_legitimate ?probe ?beta t ~max_rounds =
   let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
   run_until ?probe t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
 
-let adversary_driver =
+let engine ?(probe = Probe.noop) t =
   {
-    Adversary.step;
-    config;
-    set_config;
-    rng;
-    n;
-    max_load;
-    empty_bins;
+    Engine.kind = Counts;
+    n = n t;
+    balls = t.m;
+    rng = t.rng;
+    step = (fun () -> run ~probe t ~rounds:1);
+    round = (fun () -> t.round);
+    max_load = (fun () -> t.max_load);
+    empty_bins = (fun () -> t.empty);
+    config = (fun () -> config t);
+    set_config = set_config t;
+    master = t.master;
+    d_choices = 1;
+    capacity = t.capacity;
+    weighted = false;
   }

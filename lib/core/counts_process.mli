@@ -75,12 +75,6 @@ val round : t -> int
 val n : t -> int
 val balls : t -> int
 
-val master : t -> int64
-(** The stream master key drawn at creation (checkpointed so {!restore}
-    can rebuild the same per-(round, block) streams). *)
-
-val capacity : t -> int
-
 val load : t -> int -> int
 val max_load : t -> int
 val empty_bins : t -> int
@@ -93,10 +87,9 @@ val config : t -> Config.t
 val set_config : t -> Config.t -> unit
 (** The adversary's move; see {!Process.set_config}. *)
 
-val rng : t -> Rbb_prng.Rng.t
-
-val adversary_driver : t Adversary.driver
-(** Drive this engine under {!Adversary.run_with_faults_driver}. *)
+val engine : ?probe:Probe.t -> t -> Engine.t
+(** This engine as the drivers see it ([kind = Counts]); its [step] is
+    [run ~probe ~rounds:1], as in {!Process.engine}. *)
 
 (** {2 Block kernels}
 

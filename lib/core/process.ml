@@ -89,10 +89,6 @@ let n t = Array.length t.loads
 let balls t = t.m
 let round t = t.round
 let rng t = t.rng
-let master t = t.master
-let d_choices t = t.d
-let capacity t = t.capacity
-let weighted t = t.weights <> None
 
 let load t u =
   if u < 0 || u >= Array.length t.loads then invalid_arg "Process.load: out of range";
@@ -171,11 +167,11 @@ let step_settle_into ~src ~dst ~arrivals ~capacity ~lo ~hi =
 let step_settle ~loads ~arrivals ~capacity ~lo ~hi =
   step_settle_into ~src:loads ~dst:loads ~arrivals ~capacity ~lo ~hi
 
-let step t =
+(* Phase 1: each non-empty bin launches up to [capacity] balls, one
+   derived stream per randomness shard. *)
+let launch t =
   let bins = Array.length t.loads in
   Array.fill t.arrivals 0 bins 0;
-  (* Phase 1: each non-empty bin launches up to [capacity] balls, one
-     derived stream per randomness shard. *)
   let engine = Rbb_prng.Rng.engine t.rng in
   for s = 0 to shard_count ~bins - 1 do
     let lo, hi = shard_bounds ~bins ~shard:s in
@@ -184,53 +180,42 @@ let step t =
     in
     step_launch ~rng ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity
       ~d:t.d ?alias:t.weights ~lo ~hi ()
-  done;
-  (* Phase 2: apply departures and arrivals; refresh the incremental
-     max-load and empty-bin counters in the same pass. *)
+  done
+
+(* Phase 2: apply departures and arrivals; refresh the incremental
+   max-load and empty-bin counters in the same pass. *)
+let settle t =
   let max_l, empty =
     step_settle ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity ~lo:0
-      ~hi:bins
+      ~hi:(Array.length t.loads)
   in
   t.max_load <- max_l;
   t.empty <- empty;
   t.round <- t.round + 1
 
-(* [step] with per-phase probe timing and tracing.  Kept separate from
-   [step] so the uninstrumented path stays exactly the hot loop it was;
-   [run] picks this variant only when the probe is live. *)
+let step t =
+  launch t;
+  settle t
+
+(* [step] with per-phase probe timing and tracing around the same two
+   phases, so the uninstrumented [step] reads no clock at all; [run]
+   picks this variant only when the probe is live. *)
 let step_timed t ~(probe : Probe.t) =
-  let bins = Array.length t.loads in
-  Array.fill t.arrivals 0 bins 0;
   let t0 = probe.now () in
-  let engine = Rbb_prng.Rng.engine t.rng in
-  let blocks = ref 0 in
-  for s = 0 to shard_count ~bins - 1 do
-    let lo, hi = shard_bounds ~bins ~shard:s in
-    let rng =
-      Rbb_prng.Stream.for_shard ~engine ~master:t.master ~round:t.round ~shard:s ()
-    in
-    step_launch ~rng ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity
-      ~d:t.d ?alias:t.weights ~lo ~hi ();
-    incr blocks
-  done;
+  launch t;
   let t1 = probe.now () in
-  let max_l, empty =
-    step_settle ~loads:t.loads ~arrivals:t.arrivals ~capacity:t.capacity ~lo:0
-      ~hi:bins
-  in
-  t.max_load <- max_l;
-  t.empty <- empty;
-  t.round <- t.round + 1;
+  settle t;
   let t2 = probe.now () in
   probe.timer_add "process.launch" (Int64.sub t1 t0);
   probe.timer_add "process.settle" (Int64.sub t2 t1);
   probe.latency (Int64.sub t2 t0);
   probe.add "process.rounds" 1;
-  probe.add "process.launch.blocks" !blocks;
+  probe.add "process.launch.blocks" (shard_count ~bins:(n t));
   if probe.tracing then begin
     probe.on_span ~name:"process.launch" ~worker:0 ~round:t.round ~t0 ~t1;
     probe.on_span ~name:"process.settle" ~worker:0 ~round:t.round ~t0:t1 ~t1:t2;
-    probe.on_round ~round:t.round ~max_load:max_l ~empty_bins:empty ~balls:t.m
+    probe.on_round ~round:t.round ~max_load:t.max_load ~empty_bins:t.empty
+      ~balls:t.m
   end
 
 let run ?(probe = Probe.noop) t ~rounds =
@@ -265,3 +250,21 @@ let run_until ?(probe = Probe.noop) t ~max_rounds ~stop =
 let run_until_legitimate ?probe ?beta t ~max_rounds =
   let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
   run_until ?probe t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
+
+let engine ?(probe = Probe.noop) t =
+  {
+    Engine.kind = Balls;
+    n = n t;
+    balls = t.m;
+    rng = t.rng;
+    step = (fun () -> run ~probe t ~rounds:1);
+    round = (fun () -> t.round);
+    max_load = (fun () -> t.max_load);
+    empty_bins = (fun () -> t.empty);
+    config = (fun () -> config t);
+    set_config = set_config t;
+    master = t.master;
+    d_choices = t.d;
+    capacity = t.capacity;
+    weighted = t.weights <> None;
+  }

@@ -114,17 +114,6 @@ val round : t -> int
 val n : t -> int
 val balls : t -> int
 
-val master : t -> int64
-(** The launch-stream master key drawn at creation (checkpointed so
-    {!restore} can rebuild the same per-(round, shard) streams). *)
-
-val d_choices : t -> int
-val capacity : t -> int
-
-val weighted : t -> bool
-(** Whether a non-uniform re-assignment law is installed (such a
-    process cannot be checkpointed). *)
-
 val load : t -> int -> int
 (** Current load of a bin. *)
 
@@ -221,3 +210,8 @@ val set_config : t -> Config.t -> unit
     count. *)
 
 val rng : t -> Rbb_prng.Rng.t
+
+val engine : ?probe:Probe.t -> t -> Engine.t
+(** This engine as the drivers see it ([kind = Balls]).  Its [step] is
+    [run ~probe ~rounds:1], so a live [probe] sees every driven round,
+    [process.run] timer included. *)

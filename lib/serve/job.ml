@@ -57,18 +57,8 @@ let write_spec ~state_dir ~id spec =
   let line =
     Jsonl.obj
       (("schema", Jsonl.String spec_schema)
-       :: ("id", Jsonl.String id)
-       :: ("n", Jsonl.Int spec.Protocol.n)
-       :: (if spec.Protocol.m <> spec.Protocol.n then
-             [ ("m", Jsonl.Int spec.Protocol.m) ]
-           else [])
-      @ (if Float.is_finite spec.Protocol.deadline_s then
-           [ ("deadline_s", Jsonl.Float spec.Protocol.deadline_s) ]
-         else [])
-      @ ("rounds", Jsonl.Int spec.Protocol.rounds)
-        :: ("seed", Jsonl.Int spec.Protocol.seed)
-        :: ("init", Jsonl.String spec.Protocol.init)
-        :: [ ("engine", Jsonl.String (Protocol.engine_name spec.Protocol.engine)) ])
+      :: ("id", Jsonl.String id)
+      :: Protocol.spec_fields spec)
   in
   Rbb_sim.Fileio.write_atomic ~path:(spec_path ~state_dir ~id) (fun oc ->
       output_string oc line;
@@ -115,47 +105,19 @@ let load_spec ~path =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> try Some (input_line ic) with End_of_file -> None)
       in
-      match line with
+      match Option.map Jsonl.parse line with
       | None -> Error (Printf.sprintf "%s: empty spec file" path)
-      | Some line -> (
-          match Jsonl.parse line with
-          | None -> Error (Printf.sprintf "%s: unparseable spec" path)
-          | Some fields -> (
-              match
-                ( Jsonl.find_string fields "schema",
-                  Jsonl.find_string fields "id",
-                  Jsonl.find_int fields "n",
-                  Jsonl.find_int fields "rounds",
-                  Jsonl.find_int fields "seed",
-                  Jsonl.find_string fields "init",
-                  Jsonl.find_string fields "engine" )
-              with
-              | ( Some schema,
-                  Some id,
-                  Some n,
-                  Some rounds,
-                  Some seed,
-                  Some init,
-                  Some engine )
-                when schema = spec_schema -> (
-                  (* "m" and "deadline_s" are optional in the spec file,
-                     exactly as on the wire: absent means m = n and no
-                     deadline. *)
-                  let m = Option.value ~default:n (Jsonl.find_int fields "m") in
-                  let deadline_s =
-                    Option.value ~default:infinity
-                      (Jsonl.find_float fields "deadline_s")
-                  in
-                  let mk engine =
-                    { Protocol.n; m; rounds; seed; init; engine; deadline_s }
-                  in
-                  match (engine, Protocol.validate_spec (mk Balls)) with
-                  | "balls", Ok () -> Ok (id, mk Protocol.Balls)
-                  | "counts", Ok () -> Ok (id, mk Protocol.Counts)
-                  | _, Error e -> Error (Printf.sprintf "%s: %s" path e)
-                  | e, Ok () ->
-                      Error (Printf.sprintf "%s: unknown engine %S" path e))
-              | _ -> Error (Printf.sprintf "%s: not an %s document" path spec_schema))))
+      | Some None -> Error (Printf.sprintf "%s: unparseable spec" path)
+      | Some (Some fields) -> (
+          match
+            (Jsonl.find_string fields "schema", Jsonl.find_string fields "id")
+          with
+          | Some schema, Some id when schema = spec_schema -> (
+              match Protocol.spec_of_fields fields with
+              | Ok spec -> Ok (id, spec)
+              | Error e -> Error (Printf.sprintf "%s: %s" path e))
+          | _ ->
+              Error (Printf.sprintf "%s: not an %s document" path spec_schema)))
 
 (* Ids are "job-%06d"; the sequence number drives fresh allocation. *)
 
@@ -195,17 +157,18 @@ let scan ?(on_quarantine = fun ~id:_ ~reason:_ -> ()) ~state_dir () =
         then
           let quarantine reason =
             (* An acknowledged job whose durable spec went bad must stay
-               accounted: the spec moves to quarantine/ as evidence and
-               a durable .failed marker records the loss, so the job
-               reads as permanently failed — never as silently absent.
-               Both writes are best-effort: if they fail too (injected
-               I/O faults), the next restart simply re-encounters the
-               bad spec. *)
-            ignore
-              (quarantine_file ~state_dir
-                 ~path:(Filename.concat state_dir name));
-            (try write_failed ~state_dir ~id ~round:0 ~detail:reason
-             with _ -> ());
+               accounted: a durable .failed marker records the loss, so
+               the job reads as permanently failed — never as silently
+               absent — and only then does the spec move to quarantine/
+               as evidence.  If the marker write fails (injected I/O
+               fault), the spec stays put and the next restart's scan
+               retries. *)
+            (match write_failed ~state_dir ~id ~round:0 ~detail:reason with
+            | () ->
+                ignore
+                  (quarantine_file ~state_dir
+                     ~path:(Filename.concat state_dir name))
+            | exception _ -> ());
             on_quarantine ~id ~reason
           in
           match load_spec ~path:(Filename.concat state_dir name) with
@@ -237,7 +200,7 @@ let result_fields ~id ~(spec : Protocol.job_spec) ~round ~config ~telemetry =
   [
     ("schema", Jsonl.String result_schema);
     ("id", Jsonl.String id);
-    ("engine", Jsonl.String (Protocol.engine_name spec.engine));
+    ("engine", Jsonl.String (Engine.kind_name spec.engine));
     ("n", Jsonl.Int spec.n);
     ("rounds", Jsonl.Int round);
     ("seed", Jsonl.Int spec.seed);
@@ -271,7 +234,6 @@ let run ?(on_progress = fun ~round:_ -> ())
   | Error e -> invalid_arg ("Job.run: " ^ e));
   let ckpt = checkpoint_path ~state_dir ~id in
   let tel = Telemetry.create () in
-  let probe = Telemetry.probe tel in
   (* The quarantine-and-fall-back chain: a checkpoint that fails to
      load (CRC mismatch, truncation, schema damage) or belongs to the
      wrong engine family is moved to quarantine/ and the job restarts
@@ -291,80 +253,45 @@ let run ?(on_progress = fun ~round:_ -> ())
   let snap =
     if Sys.file_exists ckpt then
       match Checkpoint.load ~path:ckpt () with
-      | Ok snap ->
-          let kind_matches =
-            match (snap.Checkpoint.kind, spec.engine) with
-            | Checkpoint.Balls, Protocol.Balls
-            | Checkpoint.Counts, Protocol.Counts ->
-                true
-            | _ -> false
-          in
-          if kind_matches then begin
-            Checkpoint.restore_counters tel snap;
-            Some snap
-          end
-          else
-            quarantined "checkpoint engine kind does not match the spec"
+      | Ok snap when snap.Checkpoint.kind = spec.engine -> Some snap
+      | Ok _ -> quarantined "checkpoint engine kind does not match the spec"
       | Error e -> quarantined e
     else None
   in
-  let fresh () =
-    let rng = Rbb_prng.Rng.create ~seed:(Int64.of_int spec.seed) () in
-    let init =
-      match spec.init with
-      | "uniform" -> Config.uniform ~n:spec.n (* validate_spec: m = n *)
-      | "balanced" -> Config.balanced ~n:spec.n ~m:spec.m
-      | "pile" -> Config.all_in_one ~n:spec.n ~m:spec.m ()
-      | "random" -> Config.random rng ~n:spec.n ~m:spec.m
-      | _ -> assert false (* validated above *)
-    in
-    (rng, init)
-  in
-  (* One driving loop for both engine families, mirroring the CLI's. *)
-  let start_round, step, config, capture =
-    match spec.engine with
-    | Protocol.Balls ->
-        let p =
-          match snap with
-          | Some s -> Checkpoint.to_process s
-          | None ->
-              let rng, init = fresh () in
-              Process.create ~rng ~init ()
+  let engine =
+    match snap with
+    | Some s -> Rbb_sim.Engines.restore ~telemetry:tel s
+    | None ->
+        let rng = Rbb_prng.Rng.create ~seed:(Int64.of_int spec.seed) () in
+        let init =
+          match spec.init with
+          | "uniform" -> Config.uniform ~n:spec.n (* validate_spec: m = n *)
+          | "balanced" -> Config.balanced ~n:spec.n ~m:spec.m
+          | "pile" -> Config.all_in_one ~n:spec.n ~m:spec.m ()
+          | "random" -> Config.random rng ~n:spec.n ~m:spec.m
+          | _ -> assert false (* validated above *)
         in
-        ( Process.round p,
-          (fun () -> Process.run ~probe p ~rounds:1),
-          (fun () -> Process.config p),
-          fun () -> Checkpoint.capture_process ~telemetry:tel p )
-    | Protocol.Counts ->
-        let p =
-          match snap with
-          | Some s -> Checkpoint.to_counts s
-          | None ->
-              let rng, init = fresh () in
-              Counts_process.create ~rng ~init ()
-        in
-        ( Counts_process.round p,
-          (fun () -> Counts_process.run ~probe p ~rounds:1),
-          (fun () -> Counts_process.config p),
-          fun () -> Checkpoint.capture_counts ~telemetry:tel p )
+        Rbb_sim.Engines.create ~telemetry:tel ~kind:spec.engine ~rng ~init ()
   in
-  for r = start_round + 1 to spec.rounds do
+  for r = engine.round () + 1 to spec.rounds do
     (match should_stop () with
     | Some reason -> raise (Canceled { id; round = r - 1; reason })
     | None -> ());
-    step ();
+    engine.step ();
     if r mod checkpoint_every = 0 && r < spec.rounds then begin
       (* A failed checkpoint save (disk full, injected I/O fault) is
          degradation, not death: the previous snapshot is still whole
          on disk — atomic publication — so the job keeps computing and
          merely risks more recomputation after a crash. *)
-      match Checkpoint.save ~path:ckpt (capture ()) with
+      match
+        Checkpoint.save ~path:ckpt (Checkpoint.capture ~telemetry:tel engine)
+      with
       | () -> on_progress ~round:r
       | exception e -> on_save_error ~round:r ~error:(Printexc.to_string e)
     end
   done;
   let fields =
-    result_fields ~id ~spec ~round:spec.rounds ~config:(config ())
+    result_fields ~id ~spec ~round:spec.rounds ~config:(engine.config ())
       ~telemetry:tel
   in
   (* The result is the one artifact that must land: retry transient

@@ -9,7 +9,7 @@ module Jsonl = Rbb_sim.Jsonl
 let schema = "rbb.job/1"
 let default_max_frame = 65536
 
-type engine = Balls | Counts
+type engine = Rbb_core.Engine.kind = Balls | Counts
 
 type job_spec = {
   n : int;
@@ -22,13 +22,6 @@ type job_spec = {
       (* wall-clock budget from dispatch; infinity (the wire default)
          means the job may run forever *)
 }
-
-let engine_name = function Balls -> "balls" | Counts -> "counts"
-
-let engine_of_name = function
-  | "balls" -> Some Balls
-  | "counts" -> Some Counts
-  | _ -> None
 
 let validate_spec spec =
   if spec.n < 1 then Error "job spec: n must be at least 1"
@@ -87,7 +80,7 @@ let spec_fields spec =
       ("rounds", Jsonl.Int spec.rounds);
       ("seed", Jsonl.Int spec.seed);
       ("init", Jsonl.String spec.init);
-      ("engine", Jsonl.String (engine_name spec.engine));
+      ("engine", Jsonl.String (Rbb_core.Engine.kind_name spec.engine));
     ]
 
 let request_to_json = function
@@ -170,7 +163,7 @@ let spec_of_fields fields =
   let* init = need_string fields "init" in
   let* engine_s = need_string fields "engine" in
   let* engine =
-    match engine_of_name engine_s with
+    match Rbb_core.Engine.kind_of_name engine_s with
     | Some e -> Ok e
     | None -> Error (Printf.sprintf "job spec: unknown engine %S" engine_s)
   in

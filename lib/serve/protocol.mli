@@ -27,7 +27,7 @@ val default_max_frame : int
 
 (** {2 Job specifications} *)
 
-type engine = Balls | Counts
+type engine = Rbb_core.Engine.kind = Balls | Counts
 
 type job_spec = {
   n : int;  (** bins *)
@@ -57,7 +57,15 @@ val validate_spec : job_spec -> (unit, string) result
     additionally requires [m = n] — use ["balanced"] for the even
     spread of an arbitrary ball count). *)
 
-val engine_name : engine -> string
+val spec_fields : job_spec -> (string * Rbb_sim.Jsonl.value) list
+(** The spec's fields as they travel in a [submit] request and in a
+    job's spec file: ["m"] only when [m <> n], ["deadline_s"] only when
+    finite, so default-valued specs keep their historical bytes. *)
+
+val spec_of_fields :
+  (string * Rbb_sim.Jsonl.value) list -> (job_spec, string) result
+(** Inverse of {!spec_fields}, then {!validate_spec}; extra fields are
+    ignored. *)
 
 (** {2 Requests and responses} *)
 

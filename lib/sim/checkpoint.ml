@@ -25,7 +25,7 @@ open Rbb_core
 
 let schema = "rbb.checkpoint/1"
 
-type kind = Balls | Counts
+type kind = Engine.kind = Balls | Counts
 
 type snapshot = {
   round : int;
@@ -38,57 +38,25 @@ type snapshot = {
   counters : (string * int) list;
 }
 
-let capture_process ?(telemetry = Telemetry.noop) p =
-  if Process.weighted p then
-    invalid_arg "Checkpoint.capture_process: weighted processes cannot be checkpointed";
+let capture ?(telemetry = Telemetry.noop) (e : Engine.t) =
+  if e.weighted then
+    invalid_arg "Checkpoint.capture: weighted engines cannot be checkpointed";
   {
-    round = Process.round p;
-    config = Process.config p;
-    rng = Rbb_prng.Rng.snapshot (Process.rng p);
-    master = Process.master p;
-    kind = Balls;
-    d_choices = Process.d_choices p;
-    capacity = Process.capacity p;
+    round = e.round ();
+    config = e.config ();
+    rng = Rbb_prng.Rng.snapshot e.rng;
+    master = e.master;
+    kind = e.kind;
+    d_choices = e.d_choices;
+    capacity = e.capacity;
     counters = Telemetry.counters telemetry;
   }
 
-let capture_sharded s =
-  if Sharded.weighted s then
-    invalid_arg "Checkpoint.capture_sharded: weighted engines cannot be checkpointed";
-  {
-    round = Sharded.round s;
-    config = Sharded.config s;
-    rng = Rbb_prng.Rng.snapshot (Sharded.rng s);
-    master = Sharded.master s;
-    kind = Balls;
-    d_choices = Sharded.d_choices s;
-    capacity = Sharded.capacity s;
-    counters = Telemetry.counters (Sharded.telemetry s);
-  }
-
-let capture_counts ?(telemetry = Telemetry.noop) c =
-  {
-    round = Counts_process.round c;
-    config = Counts_process.config c;
-    rng = Rbb_prng.Rng.snapshot (Counts_process.rng c);
-    master = Counts_process.master c;
-    kind = Counts;
-    d_choices = 1;
-    capacity = Counts_process.capacity c;
-    counters = Telemetry.counters telemetry;
-  }
+let capture_process ?telemetry p = capture ?telemetry (Process.engine p)
+let capture_counts ?telemetry c = capture ?telemetry (Counts_process.engine c)
 
 let capture_sharded_counts s =
-  {
-    round = Sharded_counts.round s;
-    config = Sharded_counts.config s;
-    rng = Rbb_prng.Rng.snapshot (Sharded_counts.rng s);
-    master = Sharded_counts.master s;
-    kind = Counts;
-    d_choices = 1;
-    capacity = Sharded_counts.capacity s;
-    counters = Telemetry.counters (Sharded_counts.telemetry s);
-  }
+  capture ~telemetry:(Sharded_counts.telemetry s) (Sharded_counts.engine s)
 
 (* Cross-kind restores are rejected rather than coerced: the two
    engine families consume randomness under different laws, so resuming
@@ -99,15 +67,6 @@ let to_process snap =
   if snap.kind <> Balls then
     invalid_arg "Checkpoint.to_process: checkpoint is from the counts engine";
   Process.restore ~d_choices:snap.d_choices ~capacity:snap.capacity
-    ~rng:(Rbb_prng.Rng.of_snapshot snap.rng)
-    ~master:snap.master ~round:snap.round ~init:snap.config ()
-
-let to_sharded ?telemetry ?tracer ?failpoints ?supervisor ?shards ?domains snap
-    =
-  if snap.kind <> Balls then
-    invalid_arg "Checkpoint.to_sharded: checkpoint is from the counts engine";
-  Sharded.restore ?telemetry ?tracer ?failpoints ?supervisor ?shards ?domains
-    ~d_choices:snap.d_choices ~capacity:snap.capacity
     ~rng:(Rbb_prng.Rng.of_snapshot snap.rng)
     ~master:snap.master ~round:snap.round ~init:snap.config ()
 
@@ -124,9 +83,6 @@ let to_sharded_counts ?telemetry ?tracer ?domains snap =
   Sharded_counts.restore ?telemetry ?tracer ?domains ~capacity:snap.capacity
     ~rng:(Rbb_prng.Rng.of_snapshot snap.rng)
     ~master:snap.master ~round:snap.round ~init:snap.config ()
-
-let restore_counters telemetry snap =
-  List.iter (fun (name, v) -> Telemetry.add telemetry name v) snap.counters
 
 (* Serialization ------------------------------------------------------ *)
 
@@ -163,7 +119,8 @@ let save ~path snap =
            ("d_choices", Jsonl.Int snap.d_choices) ]
         @ (match snap.kind with
           | Balls -> []
-          | Counts -> [ ("engine_kind", Jsonl.String "counts") ])
+          | Counts ->
+              [ ("engine_kind", Jsonl.String (Engine.kind_name Counts)) ])
         @ [
             ("master", Jsonl.String (hex snap.master));
             ("n", Jsonl.Int n);
@@ -277,11 +234,13 @@ let parse_line st lineno line =
               let* kind =
                 match Jsonl.find_string fields "engine_kind" with
                 | None -> Ok Balls
-                | Some "counts" -> Ok Counts
-                | Some "balls" -> Ok Balls
-                | Some other ->
-                    Error
-                      (Printf.sprintf "checkpoint: unknown engine_kind %S" other)
+                | Some name -> (
+                    match Engine.kind_of_name name with
+                    | Some kind -> Ok kind
+                    | None ->
+                        Error
+                          (Printf.sprintf "checkpoint: unknown engine_kind %S"
+                             name))
               in
               if n <= 0 then Error "checkpoint: n <= 0"
               else if kind = Counts && d_choices <> 1 then

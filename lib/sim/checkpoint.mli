@@ -22,14 +22,9 @@
     Deliberately {e not} captured: wall-clock telemetry (timers,
     latency histograms — meaningless across a crash), tracer sink
     state (traces are append streams owned by each run), and weighted
-    ([?weights]) processes, which {!capture_process} /
-    {!capture_sharded} reject. *)
+    ([?weights]) engines, which {!capture} rejects. *)
 
-type kind =
-  | Balls  (** per-ball engines: {!Rbb_core.Process} / {!Sharded} *)
-  | Counts
-      (** count-based engines: {!Rbb_core.Counts_process} /
-          {!Sharded_counts} *)
+type kind = Rbb_core.Engine.kind = Balls | Counts
 
 type snapshot = {
   round : int;  (** completed rounds *)
@@ -42,24 +37,23 @@ type snapshot = {
   counters : (string * int) list;  (** telemetry counters, sorted *)
 }
 
-val capture_process : ?telemetry:Telemetry.t -> Rbb_core.Process.t -> snapshot
-(** Snapshot a sequential engine (counters from [telemetry], default
-    none).
-    @raise Invalid_argument on a weighted process. *)
-
-val capture_sharded : Sharded.t -> snapshot
-(** Snapshot a sharded engine (counters from its own attached sink).
+val capture : ?telemetry:Telemetry.t -> Rbb_core.Engine.t -> snapshot
+(** Snapshot any engine, with the counters of [telemetry] (default
+    none) — for a parallel engine, pass the sink attached to it.  A
+    [Counts] snapshot's file gains an ["engine_kind"] header field;
+    balls checkpoints carry no such field, so their bytes are unchanged
+    by the counts extension.
     @raise Invalid_argument on a weighted engine. *)
+
+val capture_process : ?telemetry:Telemetry.t -> Rbb_core.Process.t -> snapshot
+(** [capture ?telemetry (Process.engine p)]. *)
 
 val capture_counts :
   ?telemetry:Telemetry.t -> Rbb_core.Counts_process.t -> snapshot
-(** Snapshot a sequential counts engine ([kind = Counts]).  The file
-    gains an ["engine_kind"] header field; balls checkpoints carry no
-    such field, so their bytes are unchanged by the counts extension. *)
+(** [capture ?telemetry (Counts_process.engine c)]. *)
 
 val capture_sharded_counts : Sharded_counts.t -> snapshot
-(** Snapshot a parallel counts engine (counters from its attached
-    sink). *)
+(** {!capture} with the counters of the engine's attached sink. *)
 
 val save : path:string -> snapshot -> unit
 (** Write atomically: the file at [path] is either the complete old
@@ -87,20 +81,6 @@ val to_process : snapshot -> Rbb_core.Process.t
     consume randomness under different laws, so a cross-kind resume
     would silently change the trajectory while looking exact. *)
 
-val to_sharded :
-  ?telemetry:Telemetry.t ->
-  ?tracer:Tracer.t ->
-  ?failpoints:Failpoint.t ->
-  ?supervisor:Supervisor.t ->
-  ?shards:int ->
-  ?domains:int ->
-  snapshot ->
-  Sharded.t
-(** Rebuild the sharded engine ({!Sharded.restore}).  [shards] and
-    [domains] may differ from the checkpointing run's — they never
-    affect results.
-    @raise Invalid_argument if [kind = Counts]. *)
-
 val to_counts : snapshot -> Rbb_core.Counts_process.t
 (** Rebuild the sequential counts engine
     ({!Rbb_core.Counts_process.restore}).
@@ -115,7 +95,3 @@ val to_sharded_counts :
 (** Rebuild the parallel counts engine ({!Sharded_counts.restore});
     [domains] may differ from the checkpointing run's.
     @raise Invalid_argument if [kind = Balls]. *)
-
-val restore_counters : Telemetry.t -> snapshot -> unit
-(** Seed a (fresh) telemetry sink with the checkpointed counters, so a
-    resumed run's final counter totals equal the uninterrupted run's. *)

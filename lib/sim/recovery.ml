@@ -4,8 +4,8 @@ open Rbb_core
    re-enter the legitimate band after a §4.1 transient fault?  Theorem 1
    says O(n) rounds w.h.p. from any configuration — including the
    adversarial ones — so recovery-round counts are compared against the
-   bin count.  The measurement is engine-generic (Adversary.driver): the
-   same episode schedule runs on Process or Sharded and, from the same
+   bin count.  The measurement is engine-generic (Engine.t): the same
+   episode schedule runs on Process or Sharded and, from the same
    creation rng state, produces identical series. *)
 
 type episode = {
@@ -30,41 +30,35 @@ let action_name : Adversary.action -> string = function
 
 (* Step until max_load <= threshold, at most [cap] rounds; returns the
    number of rounds taken. *)
-let rounds_to_legit (d : 'a Adversary.driver) ~threshold ~cap engine =
-  if d.max_load engine <= threshold then Some 0
+let rounds_to_legit (e : Engine.t) ~threshold ~cap =
+  if e.max_load () <= threshold then Some 0
   else begin
     let rec go k =
       if k >= cap then None
       else begin
-        d.step engine;
-        if d.max_load engine <= threshold then Some (k + 1) else go (k + 1)
+        e.step ();
+        if e.max_load () <= threshold then Some (k + 1) else go (k + 1)
       end
     in
     go 0
   end
 
-let measure ?(beta = 4.0) ~(driver : 'a Adversary.driver) ~action ~episodes
-    ~max_recovery engine =
+let measure ?(beta = 4.0) ~action ~episodes ~max_recovery (e : Engine.t) =
   if episodes < 1 then invalid_arg "Recovery.measure: episodes < 1";
   if max_recovery < 1 then invalid_arg "Recovery.measure: max_recovery < 1";
-  let n = driver.n engine in
   (* The threshold must reflect the engine's actual ball count: with
      m ≫ n the max load can never drop below ⌈m/n⌉, so an n-only
      threshold would make every episode falsely report failure. *)
-  let m = Config.balls (driver.config engine) in
-  let threshold = Config.legitimacy_threshold ~beta ~m n in
+  let threshold = Config.legitimacy_threshold ~beta ~m:e.balls e.n in
   (* Settle into the legitimate band first, so every episode starts from
      a legitimate configuration and measures pure fault recovery. *)
-  ignore (rounds_to_legit driver ~threshold ~cap:max_recovery engine);
+  ignore (rounds_to_legit e ~threshold ~cap:max_recovery);
   let rounds = ref 0 in
   let eps =
     List.init episodes (fun _ ->
-        driver.set_config engine
-          (Adversary.perturb action (driver.rng engine) (driver.config engine));
-        let spike = driver.max_load engine in
-        let recovered =
-          rounds_to_legit driver ~threshold ~cap:max_recovery engine
-        in
+        e.set_config (Adversary.perturb action e.rng (e.config ()));
+        let spike = e.max_load () in
+        let recovered = rounds_to_legit e ~threshold ~cap:max_recovery in
         (match recovered with
         | Some k -> rounds := !rounds + k
         | None -> rounds := !rounds + max_recovery);
@@ -75,8 +69,8 @@ let measure ?(beta = 4.0) ~(driver : 'a Adversary.driver) ~action ~episodes
         })
   in
   {
-    n;
-    balls = Config.balls (driver.config engine);
+    n = e.n;
+    balls = e.balls;
     beta;
     threshold;
     action = action_name action;

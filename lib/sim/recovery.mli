@@ -12,10 +12,10 @@
     by O(n) rounds w.h.p., so the JSON report normalizes recovery times
     by [n] ([mean_recovery_over_n]).
 
-    The measurement is engine-generic over {!Rbb_core.Adversary.driver}
-    ({!Rbb_core.Adversary.process_driver} or
-    {!Sharded.adversary_driver}): with the same creation rng state both
-    engines produce the identical episode series. *)
+    The measurement is engine-generic over {!Rbb_core.Engine.t}: with
+    the same creation rng state, engines that share a randomness law
+    ({!Rbb_core.Process} and {!Sharded}) produce the identical episode
+    series. *)
 
 type episode = {
   fault_round : int;
@@ -40,13 +40,12 @@ val action_name : Rbb_core.Adversary.action -> string
 
 val measure :
   ?beta:float ->
-  driver:'a Rbb_core.Adversary.driver ->
   action:Rbb_core.Adversary.action ->
   episodes:int ->
   max_recovery:int ->
-  'a ->
+  Rbb_core.Engine.t ->
   t
-(** [measure ~driver ~action ~episodes ~max_recovery engine] first lets
+(** [measure ~action ~episodes ~max_recovery engine] first lets
     the engine settle into the legitimate band (at most [max_recovery]
     rounds), then runs [episodes] fault-and-recover cycles, each capped
     at [max_recovery] rounds.  [beta] defaults to the paper's 4.0.

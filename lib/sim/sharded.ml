@@ -142,12 +142,6 @@ let shards t = t.shards
 let domains t = t.domains
 let max_load t = t.max_load
 let empty_bins t = t.empty
-let rng t = t.rng
-let master t = t.master
-let d_choices t = t.d
-let capacity t = t.capacity
-let weighted t = t.alias <> None
-let telemetry t = t.telemetry
 let degraded t = t.degraded
 
 let load t u =
@@ -477,26 +471,20 @@ let run t ~rounds =
 
 let step t = run t ~rounds:1
 
-let run_until t ~max_rounds ~stop =
-  if max_rounds < 0 then invalid_arg "Sharded.run_until: max_rounds < 0";
-  if stop t then Some t.round
-  else begin
-    let rec go k =
-      if k >= max_rounds then None
-      else begin
-        step t;
-        if stop t then Some t.round else go (k + 1)
-      end
-    in
-    go 0
-  end
-
-let run_until_legitimate ?beta t ~max_rounds =
-  let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
-  run_until t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
-
-(* The §4.1 adversary, generalized: with the same creation rng object
-   the perturbation draws continue the same stream the sequential
-   engine's would, so faulty trajectories stay engine-independent. *)
-let adversary_driver : t Adversary.driver =
-  { Adversary.step; config; set_config; rng; n; max_load; empty_bins }
+let engine t =
+  {
+    Engine.kind = Balls;
+    n = n t;
+    balls = t.m;
+    rng = t.rng;
+    step = (fun () -> step t);
+    round = (fun () -> t.round);
+    max_load = (fun () -> t.max_load);
+    empty_bins = (fun () -> t.empty);
+    config = (fun () -> config t);
+    set_config = set_config t;
+    master = t.master;
+    d_choices = t.d;
+    capacity = t.capacity;
+    weighted = t.alias <> None;
+  }

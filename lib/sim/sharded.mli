@@ -126,12 +126,6 @@ val run : t -> rounds:int -> unit
     round.
     @raise Invalid_argument if [rounds < 0]. *)
 
-val run_until : t -> max_rounds:int -> stop:(t -> bool) -> int option
-(** Same contract as {!Rbb_core.Process.run_until}.
-    @raise Invalid_argument if [max_rounds < 0]. *)
-
-val run_until_legitimate : ?beta:float -> t -> max_rounds:int -> int option
-
 val round : t -> int
 val n : t -> int
 val balls : t -> int
@@ -155,30 +149,14 @@ val set_config : t -> Rbb_core.Config.t -> unit
     {!Rbb_core.Process.set_config}.
     @raise Invalid_argument if [q] has a different bin or ball count. *)
 
-val rng : t -> Rbb_prng.Rng.t
-(** The creation stream (after its master-key draw) — the stream the
-    adversary and checkpoint layers continue, exactly as
-    {!Rbb_core.Process.rng}. *)
-
-val master : t -> int64
-val d_choices : t -> int
-val capacity : t -> int
-
-val weighted : t -> bool
-(** Whether a non-uniform re-assignment law is installed (such an
-    engine cannot be checkpointed). *)
-
-val telemetry : t -> Telemetry.t
-(** The attached telemetry sink ({!Telemetry.noop} when none). *)
-
 val degraded : t -> bool
 (** True once a retry budget was exhausted and the engine fell back to
     the sequential inline path (failpoints are bypassed from then on).
     The trajectory is unaffected — degradation costs parallelism, not
     correctness. *)
 
-val adversary_driver : t Rbb_core.Adversary.driver
-(** Drive this engine under {!Rbb_core.Adversary.run_with_faults_driver}.
-    With the same creation rng state as a {!Rbb_core.Process}, the
-    perturbation draws match draw for draw, so faulty trajectories are
+val engine : t -> Rbb_core.Engine.t
+(** This engine as the drivers see it ([kind = Balls]).  With the same
+    creation rng state as a {!Rbb_core.Process}, adversary
+    perturbations draw the same randomness, so faulty trajectories are
     engine-independent too. *)

@@ -86,9 +86,6 @@ let round t = t.round
 let domains t = t.domains
 let max_load t = t.max_load
 let empty_bins t = t.empty
-let rng t = t.rng
-let master t = t.master
-let capacity t = t.capacity
 let telemetry t = t.telemetry
 
 let load t u =
@@ -280,23 +277,20 @@ let run t ~rounds =
 
 let step t = run t ~rounds:1
 
-let run_until t ~max_rounds ~stop =
-  if max_rounds < 0 then invalid_arg "Sharded_counts.run_until: max_rounds < 0";
-  if stop t then Some t.round
-  else begin
-    let rec go k =
-      if k >= max_rounds then None
-      else begin
-        step t;
-        if stop t then Some t.round else go (k + 1)
-      end
-    in
-    go 0
-  end
-
-let run_until_legitimate ?beta t ~max_rounds =
-  let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
-  run_until t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
-
-let adversary_driver : t Adversary.driver =
-  { Adversary.step; config; set_config; rng; n; max_load; empty_bins }
+let engine t =
+  {
+    Engine.kind = Counts;
+    n = n t;
+    balls = t.m;
+    rng = t.rng;
+    step = (fun () -> step t);
+    round = (fun () -> t.round);
+    max_load = (fun () -> t.max_load);
+    empty_bins = (fun () -> t.empty);
+    config = (fun () -> config t);
+    set_config = set_config t;
+    master = t.master;
+    d_choices = 1;
+    capacity = t.capacity;
+    weighted = false;
+  }

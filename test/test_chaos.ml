@@ -438,6 +438,33 @@ let test_scan_sequence_survives_failures () =
       let _, next = Job.scan ~state_dir:dir () in
       Alcotest.(check int) "sequence past the result" 8 next)
 
+(* A corrupt spec whose failure-marker write fails must not vanish:
+   the marker goes first and the spec moves to quarantine/ only once the
+   marker is durable, so the restart's scan still sees the job and
+   finishes the quarantine instead of re-issuing its id. *)
+let test_scan_quarantine_marker_first () =
+  with_temp_dir "rbb_scan_q" (fun dir ->
+      let id = "job-000001" in
+      let spec = Job.spec_path ~state_dir:dir ~id in
+      write_file spec "garbage\n";
+      let faults0 = Fileio.injected_faults () in
+      let _, next =
+        with_failpoints [ at "io.write" ] (fun () -> Job.scan ~state_dir:dir ())
+      in
+      Alcotest.(check bool) "marker write was faulted" true
+        (Fileio.injected_faults () > faults0);
+      Alcotest.(check bool) "spec kept while no marker is durable" true
+        (Sys.file_exists spec);
+      Alcotest.(check int) "id not re-issued" 2 next;
+      let pending, next = Job.scan ~state_dir:dir () in
+      Alcotest.(check int) "nothing pending" 0 (List.length pending);
+      Alcotest.(check int) "id not re-issued after restart" 2 next;
+      Alcotest.(check bool) "marker durable" true
+        (Job.read_failed ~state_dir:dir ~id <> None);
+      Alcotest.(check bool) "spec quarantined" true
+        (Sys.file_exists
+           (Filename.concat (Job.quarantine_dir ~state_dir:dir) (id ^ ".job"))))
+
 (* ------------------------------------------------------------------ *)
 (* Chaos: a miniature end-to-end campaign                              *)
 (* ------------------------------------------------------------------ *)
@@ -477,6 +504,8 @@ let suite =
           test_job_quarantine_byte_identity;
         Alcotest.test_case "scan sequence survives failures" `Quick
           test_scan_sequence_survives_failures;
+        Alcotest.test_case "quarantine writes marker first" `Quick
+          test_scan_quarantine_marker_first;
         Alcotest.test_case "chaos config validation" `Quick
           test_chaos_config_validation;
       ] );

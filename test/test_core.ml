@@ -833,7 +833,7 @@ let adversary_run_with_faults_recovers () =
      time for the O(n) recovery of Theorem 1. *)
   let metrics =
     Adversary.run_with_faults ~schedule:(Adversary.Every (10 * n))
-      ~action:(Adversary.Pile_into 0) ~rounds:(25 * n) p
+      ~action:(Adversary.Pile_into 0) ~rounds:(25 * n) (Process.engine p)
   in
   Alcotest.(check int) "all rounds recorded" (25 * n) (Metrics.rounds metrics);
   (* The fault spikes the max load to n; metrics observe after the next

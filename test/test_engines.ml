@@ -9,10 +9,14 @@
      compared record-for-record within each law-sharing pair:
      Process/Sharded and Counts_process/Sharded_counts are bit-identical
      trajectories, so their event streams must agree exactly.
-   - Checkpoints of both kinds survive save -> load -> save with
-     byte-identical files; balls checkpoint bytes are unchanged by the
-     counts extension (no "engine_kind" field); cross-kind restores
-     raise instead of silently switching randomness laws. *)
+   - Conformance: one list of checks runs over the four Engine.t values
+     the chooser (Rbb_sim.Engines) builds — ball conservation, exact
+     resume through a checkpoint file whose save -> load -> save bytes
+     are identical and whose "engine_kind" header matches the family
+     (balls files carry none, so their bytes predate the counts
+     extension), and conservation across the adversary's set_config.
+     Typed cross-kind restores raise instead of silently switching
+     randomness laws. *)
 
 open Rbb_core
 module Rng = Rbb_prng.Rng
@@ -193,55 +197,14 @@ let test_tracer_parity_counts () =
 (* Checkpoint round trips                                              *)
 (* ------------------------------------------------------------------ *)
 
-let roundtrip_bytes snap restore capture =
-  let path1 = temp_path ".ckpt" and path2 = temp_path ".ckpt" in
-  Checkpoint.save ~path:path1 snap;
-  (match Checkpoint.load ~path:path1 () with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok snap' -> Checkpoint.save ~path:path2 (capture (restore snap')));
-  let a = read_file path1 and b = read_file path2 in
-  Alcotest.(check bool) "save -> load -> save bytes identical" true (a = b);
-  a
-
-let test_checkpoint_roundtrip_balls () =
-  let p = Process.create ~rng:(rng 3L) ~init:(Config.uniform ~n:1000) () in
-  Process.run p ~rounds:7;
-  let bytes =
-    roundtrip_bytes
-      (Checkpoint.capture_process p)
-      Checkpoint.to_process
-      (fun p -> Checkpoint.capture_process p)
-  in
-  (* The counts extension must not leak into balls files: their bytes
-     predate it and stay byte-compatible. *)
-  Alcotest.(check bool)
-    "balls header carries no engine_kind" false
-    (contains ~needle:"engine_kind" bytes)
-
-let test_checkpoint_roundtrip_counts () =
-  let c = Counts_process.create ~rng:(rng 3L) ~init:(Config.uniform ~n:1000) () in
-  Counts_process.run c ~rounds:7;
-  let bytes =
-    roundtrip_bytes (Checkpoint.capture_counts c) Checkpoint.to_counts
-      (fun c -> Checkpoint.capture_counts c)
-  in
-  Alcotest.(check bool)
-    "counts header carries engine_kind" true
-    (contains ~needle:"\"engine_kind\":\"counts\"" bytes)
-
+(* A counts checkpoint restored into Sharded_counts continues exactly
+   like the sequential counts engine restored from the same file. *)
 let test_checkpoint_roundtrip_sharded_counts () =
   let s =
     Sharded_counts.create ~domains:2 ~rng:(rng 3L)
       ~init:(Config.uniform ~n:1000) ()
   in
   Sharded_counts.run s ~rounds:7;
-  ignore
-    (roundtrip_bytes
-       (Checkpoint.capture_sharded_counts s)
-       (Checkpoint.to_sharded_counts ~domains:2)
-       (fun s -> Checkpoint.capture_sharded_counts s));
-  (* A counts checkpoint restored into Sharded_counts continues exactly
-     like the sequential counts engine restored from the same file. *)
   let snap = Checkpoint.capture_sharded_counts s in
   let seq = Checkpoint.to_counts snap in
   let par = Checkpoint.to_sharded_counts ~domains:3 snap in
@@ -263,9 +226,7 @@ let test_checkpoint_cross_kind_errors () =
   Tutil.check_raises_invalid "to_sharded_counts on balls snapshot" (fun () ->
       ignore (Checkpoint.to_sharded_counts balls_snap));
   Tutil.check_raises_invalid "to_process on counts snapshot" (fun () ->
-      ignore (Checkpoint.to_process counts_snap));
-  Tutil.check_raises_invalid "to_sharded on counts snapshot" (fun () ->
-      ignore (Checkpoint.to_sharded counts_snap))
+      ignore (Checkpoint.to_process counts_snap))
 
 let test_checkpoint_counts_resume_trajectory () =
   (* File-level resume is invisible: run 6 + (save/load) + 6 rounds
@@ -288,6 +249,111 @@ let test_checkpoint_counts_resume_trajectory () =
       Alcotest.(check int) "round counter restored" 12
         (Counts_process.round resumed)
 
+(* ------------------------------------------------------------------ *)
+(* Conformance: every Engine.t the chooser builds                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Two randomness blocks (4096 bins each) and m <> n, from a random
+   start so every block launches balls from the first round on. *)
+let conf_n = 5000
+let conf_m = 2 * conf_n
+let conf_k = 6
+
+let engines =
+  [
+    ("balls", Engine.Balls, 1);
+    ("counts", Engine.Counts, 1);
+    ("balls_2_domains", Engine.Balls, 2);
+    ("counts_2_domains", Engine.Counts, 2);
+  ]
+
+let fresh kind domains =
+  let rng = rng 21L in
+  let init = Config.random rng ~n:conf_n ~m:conf_m in
+  Rbb_sim.Engines.create ~domains ~kind ~rng ~init ()
+
+let steps (e : Engine.t) k =
+  for _ = 1 to k do
+    e.step ()
+  done
+
+(* The record's incremental observables agree with its configuration,
+   which still holds every ball. *)
+let check_state name (e : Engine.t) ~round =
+  let q = e.config () in
+  Alcotest.(check int) (name ^ ": balls conserved") conf_m (Config.balls q);
+  Alcotest.(check int) (name ^ ": balls field") conf_m e.balls;
+  Alcotest.(check int) (name ^ ": round") round (e.round ());
+  Alcotest.(check int) (name ^ ": max_load") (Config.max_load q)
+    (e.max_load ());
+  Alcotest.(check int) (name ^ ": empty_bins") (Config.empty_bins q)
+    (e.empty_bins ())
+
+let conserves kind domains () =
+  let e = fresh kind domains in
+  Alcotest.(check bool) "kind" true (e.kind = kind);
+  steps e conf_k;
+  check_state "after k rounds" e ~round:conf_k
+
+let resume_exact kind domains () =
+  let e = fresh kind domains in
+  steps e conf_k;
+  let path = temp_path ".ckpt" and again = temp_path ".ckpt" in
+  Checkpoint.save ~path (Checkpoint.capture e);
+  let bytes = read_file path in
+  let header =
+    Option.get (Jsonl.parse (List.hd (String.split_on_char '\n' bytes)))
+  in
+  Alcotest.(check string) "header engine_kind matches kind"
+    (Engine.kind_name kind)
+    (Option.value ~default:"balls" (Jsonl.find_string header "engine_kind"));
+  Alcotest.(check bool) "balls headers carry no engine_kind" (kind = Balls)
+    (not (contains ~needle:"engine_kind" bytes));
+  let r =
+    match Checkpoint.load ~path () with
+    | Ok snap -> Rbb_sim.Engines.restore ~domains snap
+    | Error e -> Alcotest.failf "load failed: %s" e
+  in
+  Checkpoint.save ~path:again (Checkpoint.capture r);
+  Alcotest.(check string) "save -> load -> save bytes identical" bytes
+    (read_file again);
+  steps e conf_k;
+  steps r conf_k;
+  Alcotest.(check bool) "resumed kind" true (r.kind = kind);
+  check_state "resumed" r ~round:(2 * conf_k);
+  Alcotest.(check bool) "resumed equals uninterrupted" true
+    (Config.equal (e.config ()) (r.config ()))
+
+let set_config_conserves kind domains () =
+  let e = fresh kind domains in
+  steps e 2;
+  let pile = Config.all_in_one ~n:conf_n ~m:conf_m () in
+  e.set_config pile;
+  Alcotest.(check int) "set_config lands" conf_m (e.max_load ());
+  e.step ();
+  check_state "after set_config and a step" e ~round:3;
+  Tutil.check_raises_invalid "ball count differs" (fun () ->
+      e.set_config (Config.uniform ~n:conf_n))
+
+let create_rejects_counts_misuse () =
+  let create ?d_choices ?failpoints () =
+    Rbb_sim.Engines.create ?d_choices ?failpoints ~kind:Counts ~rng:(rng 1L)
+      ~init:(Config.uniform ~n:64) ()
+  in
+  Tutil.check_raises_invalid "counts with d_choices > 1" (fun () ->
+      create ~d_choices:2 ());
+  let armed =
+    Rbb_sim.Failpoint.of_specs
+      [
+        {
+          Rbb_sim.Failpoint.name = "sharded.settle";
+          trigger = At { round = Some 1; shard = None; fails = 1 };
+        };
+      ]
+  in
+  Tutil.check_raises_invalid "counts with armed failpoints" (fun () ->
+      create ~failpoints:armed ())
+
 let suite =
   [
     ( "engines.telemetry_keys",
@@ -304,12 +370,25 @@ let suite =
       ] );
     ( "engines.checkpoint",
       [
-        Tutil.quick "balls byte round trip" test_checkpoint_roundtrip_balls;
-        Tutil.quick "counts byte round trip" test_checkpoint_roundtrip_counts;
         Tutil.quick "sharded counts round trip"
           test_checkpoint_roundtrip_sharded_counts;
         Tutil.quick "cross-kind restores error" test_checkpoint_cross_kind_errors;
         Tutil.quick "counts file resume exact"
           test_checkpoint_counts_resume_trajectory;
       ] );
+    ( "engines.conformance",
+      [
+        Tutil.quick "create rejects counts misuse"
+          create_rejects_counts_misuse;
+      ] );
   ]
+  @ List.map
+      (fun (name, kind, domains) ->
+        ( "engines.conformance." ^ name,
+          [
+            Tutil.quick "conserves balls" (conserves kind domains);
+            Tutil.quick "resume exact" (resume_exact kind domains);
+            Tutil.quick "set_config conserves"
+              (set_config_conserves kind domains);
+          ] ))
+      engines

@@ -218,7 +218,7 @@ let checkpoint_rejects_weighted () =
       Checkpoint.capture_process p);
   let s = Sharded.create ~weights ~shards:2 ~domains:1 ~rng:(mk_rng 6L) ~init:(Config.uniform ~n) () in
   Tutil.check_raises_invalid "weighted sharded" (fun () ->
-      Checkpoint.capture_sharded s)
+      Checkpoint.capture (Sharded.engine s))
 
 let checkpoint_load_errors () =
   (match Checkpoint.load ~path:"/nonexistent/rbb.ckpt" () with
@@ -291,7 +291,7 @@ let resume_sharded_golden () =
   in
   Sharded.run part ~rounds:k;
   let path = temp_path ".ckpt" in
-  Checkpoint.save ~path (Checkpoint.capture_sharded part);
+  Checkpoint.save ~path (Checkpoint.capture (Sharded.engine part));
   let snap =
     match Checkpoint.load ~path () with
     | Ok s -> s
@@ -299,11 +299,13 @@ let resume_sharded_golden () =
   in
   (* Resume with a different worker geometry: results never depend on
      shards/domains. *)
-  let resumed = Checkpoint.to_sharded ~shards:3 ~domains:1 snap in
-  Sharded.run resumed ~rounds:(total - k);
+  let resumed = Rbb_sim.Engines.restore ~shards:3 ~domains:1 snap in
+  for _ = k + 1 to total do
+    resumed.step ()
+  done;
   Alcotest.(check bool) "config bit-identical" true
-    (Config.equal (Sharded.config full) (Sharded.config resumed));
-  Alcotest.(check int) "round" total (Sharded.round resumed);
+    (Config.equal (Sharded.config full) (resumed.config ()));
+  Alcotest.(check int) "round" total (resumed.round ());
   (* Cross-engine: the same checkpoint resumed on the sequential engine
      lands on the same configuration. *)
   let cross = Checkpoint.to_process snap in
@@ -344,14 +346,16 @@ let prop_resume_bit_identical (n, k1, k2, seed) =
           ~init:(Config.uniform ~n) ()
       in
       Sharded.run spart ~rounds:k1;
-      Checkpoint.save ~path (Checkpoint.capture_sharded spart);
+      Checkpoint.save ~path (Checkpoint.capture (Sharded.engine spart));
       let sresumed =
         match Checkpoint.load ~path () with
-        | Ok snap -> Checkpoint.to_sharded ~shards:3 ~domains:1 snap
+        | Ok snap -> Rbb_sim.Engines.restore ~shards:3 ~domains:1 snap
         | Error e -> failwith e
       in
-      Sharded.run sresumed ~rounds:k2;
-      let sh_ok = Config.equal (Process.config full) (Sharded.config sresumed) in
+      for _ = 1 to k2 do
+        sresumed.step ()
+      done;
+      let sh_ok = Config.equal (Process.config full) (sresumed.config ()) in
       seq_ok && sh_ok)
 
 (* ------------------------------------------------------------------ *)
@@ -621,13 +625,14 @@ let truncated_trace_tolerated () =
 
 let recovery_measures_relegitimacy () =
   let n = 128 in
-  let measure driver engine =
-    Rbb_sim.Recovery.measure ~driver ~action:(Adversary.Pile_into 0) ~episodes:2
+  let measure engine =
+    Rbb_sim.Recovery.measure ~action:(Adversary.Pile_into 0) ~episodes:2
       ~max_recovery:(100 * n) engine
   in
   let r =
-    measure Adversary.process_driver
-      (Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ())
+    measure
+      (Process.engine
+         (Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ()))
   in
   Alcotest.(check int) "n" n r.Rbb_sim.Recovery.n;
   Alcotest.(check string) "action" "pile_into(0)" r.action;
@@ -639,12 +644,13 @@ let recovery_measures_relegitimacy () =
       | Some k -> Alcotest.(check bool) "recovers in O(n)" true (k < 100 * n)
       | None -> Alcotest.fail "episode did not recover")
     r.episodes;
-  (* Engine-generic: the sharded driver reproduces the series byte for
+  (* Engine-generic: the sharded engine reproduces the series byte for
      byte. *)
   let r' =
-    measure Sharded.adversary_driver
-      (Sharded.create ~shards:2 ~domains:1 ~rng:(mk_rng 9L)
-         ~init:(Config.uniform ~n) ())
+    measure
+      (Sharded.engine
+         (Sharded.create ~shards:2 ~domains:1 ~rng:(mk_rng 9L)
+            ~init:(Config.uniform ~n) ()))
   in
   Alcotest.(check string) "engine-identical JSON"
     (Rbb_sim.Recovery.to_json r)
@@ -652,12 +658,10 @@ let recovery_measures_relegitimacy () =
   Alcotest.(check bool) "json has schema" true
     (Tutil.contains_substring (Rbb_sim.Recovery.to_json r) "rbb.recovery/1");
   Tutil.check_raises_invalid "episodes < 1" (fun () ->
-      measure Adversary.process_driver
-        (Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ())
-      |> ignore;
-      Rbb_sim.Recovery.measure ~driver:Adversary.process_driver
-        ~action:Adversary.Reshuffle ~episodes:0 ~max_recovery:10
-        (Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ()))
+      Rbb_sim.Recovery.measure ~action:Adversary.Reshuffle ~episodes:0
+        ~max_recovery:10
+        (Process.engine
+           (Process.create ~rng:(mk_rng 9L) ~init:(Config.uniform ~n) ())))
 
 (* Regression for the m = n lock-in: Recovery.measure used to derive
    its legitimacy threshold from n alone, so with m ≫ n every episode
@@ -682,9 +686,10 @@ let recovery_threshold_is_m_aware () =
      legitimate: a uniform throw of m balls sits well inside the
      ⌈4 (m/n) ln n⌉ band. *)
   let r =
-    Rbb_sim.Recovery.measure ~driver:Adversary.process_driver
-      ~action:Adversary.Reshuffle ~episodes:2 ~max_recovery:(100 * n)
-      (Process.create ~rng:(mk_rng 21L) ~init:(Config.balanced ~n ~m) ())
+    Rbb_sim.Recovery.measure ~action:Adversary.Reshuffle ~episodes:2
+      ~max_recovery:(100 * n)
+      (Process.engine
+         (Process.create ~rng:(mk_rng 21L) ~init:(Config.balanced ~n ~m) ()))
   in
   Alcotest.(check int) "record carries m" m r.Rbb_sim.Recovery.balls;
   Alcotest.(check int) "record carries the m-aware threshold" threshold
@@ -701,10 +706,11 @@ let recovery_threshold_is_m_aware () =
      the test fast. *)
   let n = 16 and m = 256 in
   let r =
-    Rbb_sim.Recovery.measure ~driver:Counts_process.adversary_driver
-      ~action:(Adversary.Pile_into 0) ~episodes:1
+    Rbb_sim.Recovery.measure ~action:(Adversary.Pile_into 0) ~episodes:1
       ~max_recovery:(100 * Stdlib.max n m)
-      (Counts_process.create ~rng:(mk_rng 22L) ~init:(Config.balanced ~n ~m) ())
+      (Counts_process.engine
+         (Counts_process.create ~rng:(mk_rng 22L)
+            ~init:(Config.balanced ~n ~m) ()))
   in
   List.iter
     (fun (e : Rbb_sim.Recovery.episode) ->

@@ -225,8 +225,6 @@ let sharded_rounds_validation () =
   let p = mk () in
   Tutil.check_raises_invalid "run rounds < 0" (fun () ->
       Sharded.run p ~rounds:(-1));
-  Tutil.check_raises_invalid "run_until max_rounds < 0" (fun () ->
-      ignore (Sharded.run_until p ~max_rounds:(-3) ~stop:(fun _ -> true)));
   let p = mk () in
   let before = Sharded.config p in
   Sharded.run p ~rounds:0;
