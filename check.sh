@@ -68,6 +68,15 @@ grep -q '"sharded.retries"' "$tracedir/fault.json" \
   --checkpoint "$tracedir/clean60.ckpt" > /dev/null
 cmp -s "$tracedir/fault.ckpt" "$tracedir/clean60.ckpt" \
   || { echo "check.sh: fault-injected trajectory diverged"; exit 1; }
+# Single-worker degrade gate: a fault that exhausts the retry budget on
+# the default one-worker geometry degrades and finishes the run instead
+# of crashing, on the same trajectory as the clean run.
+"$rbb" simulate --bins 512 --rounds 60 --seed 7 \
+  --failpoint 'sharded.settle@round=30,fails=99' \
+  --checkpoint "$tracedir/degraded.ckpt" > /dev/null \
+  || { echo "check.sh: single-worker run did not degrade"; exit 1; }
+cmp -s "$tracedir/degraded.ckpt" "$tracedir/clean60.ckpt" \
+  || { echo "check.sh: degraded trajectory diverged"; exit 1; }
 
 # Counts-vs-balls smoke: the count-based kernel must run from the CLI,
 # stay bit-identical between its sequential and sharded variants

@@ -8,10 +8,11 @@
     does.  Both engines of a family produce bit-identical trajectories,
     so the choice changes wall-clock time only.
 
-    [telemetry] and [tracer] (default: the noop sinks) reach a
-    sequential engine through its probe and a parallel one as its
-    attached sinks, so {!Checkpoint.capture} [~telemetry] with the same
-    sink captures the same counters from either.  [failpoints] and
+    [telemetry] and [tracer] (default: the noop sinks) reach every
+    engine as one probe composed from both — a sequential engine's
+    [?probe], a parallel engine's round loop ({!Parallel.rounds}) — so
+    {!Checkpoint.capture} [~telemetry] with the same sink captures the
+    same counters from either.  [failpoints] and
     [supervisor] guard the per-ball parallel engine's phases
     ({!Sharded.create}). *)
 

@@ -38,16 +38,103 @@ module Barrier = struct
     Mutex.unlock b.lock
 end
 
-(* Deterministic failure slot: keep the exception of the smallest task
-   index, whatever order the domains happen to fail in. *)
-let record_failure slot ~index exn =
+(* Deterministic failure slot: keep the exception with the smallest
+   key, whatever order the domains happen to fail in. *)
+let record_failure slot key exn =
   let rec go () =
     match Atomic.get slot with
-    | Some (j, _) when j <= index -> ()
+    | Some (k, _) when k <= key -> ()
     | cur ->
-        if not (Atomic.compare_and_set slot cur (Some (index, exn))) then go ()
+        if not (Atomic.compare_and_set slot cur (Some (key, exn))) then go ()
   in
   go ()
+
+type phase = { name : string; workers : int; run : round:int -> int -> unit }
+
+let rounds ~(probe : Rbb_core.Probe.t) ~family ~domains ~round ~rounds ~observe
+    stages =
+  if domains < 1 then invalid_arg "Parallel.rounds: domains < 1";
+  if rounds < 0 then invalid_arg "Parallel.rounds: rounds < 0";
+  let workers =
+    List.fold_left (List.fold_left (fun w p -> Stdlib.max w p.workers)) 0 stages
+  in
+  let stages = Array.of_list (List.map Array.of_list stages) in
+  let domains = Stdlib.min domains workers in
+  if rounds = 0 || domains = 0 then None
+  else begin
+    (* Keyed (round, stage, worker).  A stage is skipped once an
+       {e earlier} stage failed; a failure inside the running stage
+       never stops its other workers, so the set of raisers — hence the
+       reported one — does not depend on how the domains interleave.
+       Every skipped stage still ends at its barrier: no domain leaves
+       the rendezvous its peers are waiting at. *)
+    let failure = Atomic.make None in
+    let failed_before rnd stage =
+      match Atomic.get failure with
+      | Some ((r, s, _), _) -> (r, s) < (rnd, stage)
+      | None -> false
+    in
+    let last = Array.length stages - 1 in
+    let timed = Rbb_core.Probe.live probe in
+    let now () = if timed then probe.now () else 0L in
+    let barrier = Barrier.create domains in
+    (* Domain [d] plays workers d, d + domains, ...; its phase and
+       barrier times accumulate in locals flushed once per call. *)
+    let play d () =
+      let ns = Array.map (fun st -> Array.make (Array.length st) 0L) stages in
+      let barrier_ns = ref 0L in
+      for rnd = round to round + rounds - 1 do
+        (* Spans carry the completed-round number, as the sequential
+           engines' do. *)
+        let r = rnd + 1 in
+        let start = now () in
+        Array.iteri
+          (fun s stage ->
+            if not (failed_before rnd s) then
+              Array.iteri
+                (fun i p ->
+                  let w = ref d and t0 = ref (now ()) in
+                  while !w < p.workers do
+                    (try p.run ~round:rnd !w
+                     with exn -> record_failure failure (rnd, s, !w) exn);
+                    let t1 = now () in
+                    ns.(s).(i) <- Int64.add ns.(s).(i) (Int64.sub t1 !t0);
+                    if probe.tracing then
+                      probe.on_span ~name:p.name ~worker:!w ~round:r ~t0:!t0 ~t1;
+                    t0 := t1;
+                    w := !w + domains
+                  done)
+                stage;
+            if domains > 1 then begin
+              let t0 = now () in
+              Barrier.wait barrier;
+              let t1 = now () in
+              barrier_ns := Int64.add !barrier_ns (Int64.sub t1 t0);
+              if probe.tracing && s = last then
+                probe.on_span ~name:(family ^ ".barrier") ~worker:d ~round:r ~t0
+                  ~t1
+            end)
+          stages;
+        (* After the round's last barrier a failure of round [rnd] is
+           visible to every domain, and a peer already running round
+           [rnd + 1] cannot make this test true. *)
+        if d = 0 && not (failed_before rnd (last + 1)) then begin
+          if probe.enabled then probe.latency (Int64.sub (now ()) start);
+          if probe.tracing then observe ~round:r
+        end
+      done;
+      if probe.enabled then begin
+        Array.iteri
+          (fun s stage ->
+            Array.iteri (fun i p -> probe.timer_add p.name ns.(s).(i)) stage)
+          stages;
+        if domains > 1 then probe.timer_add (family ^ ".barrier_wait") !barrier_ns
+      end
+    in
+    if domains = 1 then play 0 ()
+    else List.iter Domain.join (List.init domains (fun d -> Domain.spawn (play d)));
+    Option.map (fun ((r, _, w), exn) -> (r, w, exn)) (Atomic.get failure)
+  end
 
 let map_domains ?(telemetry = Telemetry.noop) ?(failpoints = Failpoint.noop)
     ?(supervisor = Supervisor.noop) ?domains ~tasks f =
@@ -81,7 +168,7 @@ let map_domains ?(telemetry = Telemetry.noop) ?(failpoints = Failpoint.noop)
       while !i < tasks do
         (match run_task !i with
         | v -> results.(!i) <- Some v
-        | exception exn -> record_failure failure ~index:!i exn);
+        | exception exn -> record_failure failure !i exn);
         incr executed;
         i := !i + workers
       done;

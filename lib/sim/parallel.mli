@@ -1,4 +1,5 @@
-(** Parallel replication across OCaml 5 domains.
+(** Parallel replication across OCaml 5 domains, and the round loop of
+    the parallel engines ({!rounds}).
 
     Trials are embarrassingly parallel: each runs on its own
     deterministically derived seed, so the result array is {e identical}
@@ -29,6 +30,46 @@ module Barrier : sig
       as [Sharded] need between their launch and settle passes. *)
 end
 
+type phase = { name : string; workers : int; run : round:int -> int -> unit }
+(** A named phase of a round: [run ~round w] does logical worker [w]'s
+    share of 0-based [round], for [w] in [0 .. workers - 1]. *)
+
+val rounds :
+  probe:Rbb_core.Probe.t ->
+  family:string ->
+  domains:int ->
+  round:int ->
+  rounds:int ->
+  observe:(round:int -> unit) ->
+  phase list list ->
+  (int * int * exn) option
+(** [rounds ~probe ~family ~domains ~round ~rounds ~observe stages] runs
+    rounds [[round, round + rounds)] of an engine whose round is
+    [stages]: lists of phases, each stage ending at a barrier.  It is
+    the round loop of {!Sharded} and {!Sharded_counts}.
+
+    [min domains workers] domains ([workers] the largest phase worker
+    count) each play the logical workers [d, d + domains, ...], running
+    a stage's phases in order for all of them; one domain runs on the
+    caller, with no spawn and no barrier.
+
+    Through [probe] only: each phase's time, as a timer named after the
+    phase flushed once per domain per call; a span per phase per
+    worker; when more than one domain runs, a [<family>.barrier_wait]
+    timer and, for each round's closing barrier, a [<family>.barrier]
+    span per domain; a latency sample per completed round; and, when
+    [probe.tracing], [observe ~round] with the 1-based number of each
+    completed round.  [observe] runs on domain 0 between a round's last
+    barrier and its next stage, so it may read what the last stage
+    wrote if the first stage does not write it.
+
+    A raising phase is recorded; the rest of its stage still runs, later
+    stages and rounds are skipped, and every domain attends every
+    barrier.  The result is the smallest failing [(round, worker, exn)]
+    after the join — every earlier round completed — or [None].
+    [rounds = 0] runs and reports nothing.
+    @raise Invalid_argument if [domains < 1] or [rounds < 0]. *)
+
 val map_domains :
   ?telemetry:Telemetry.t ->
   ?failpoints:Failpoint.t ->
@@ -43,8 +84,7 @@ val map_domains :
     the results in task order.  The result array is independent of
     [domains].  If tasks raise, all remaining tasks still run and the
     exception of the smallest failing index is re-raised after every
-    domain joins.  This is the primitive under {!run} and under
-    [Sharded]'s per-round phases.
+    domain joins.  This is the primitive under {!run}.
 
     When [telemetry] (default {!Telemetry.noop}) is an active sink, each
     worker [w] reports counter [parallel.worker<w>.tasks] (tasks it

@@ -33,8 +33,13 @@
     an attached {!Supervisor} does — and a round abandoned by a fault
     leaves the committed configuration intact, so an unsupervised
     failure re-raises with the engine rolled back to its last completed
-    round, and an exhausted retry budget degrades the run to the
-    sequential inline path instead of crashing ({!degraded}). *)
+    round, and an exhausted retry budget degrades the rest of the call
+    to one domain instead of crashing, on every geometry
+    ({!degraded}).
+
+    Rounds run in {!Parallel.rounds}, the round loop shared with
+    {!Sharded_counts}, as the stages [[launch]; [merge; settle]]: two
+    barriers per round. *)
 
 type t
 
@@ -59,22 +64,17 @@ val create :
     [domains] the number of worker domains (default
     {!Parallel.default_domains}).  Neither affects results.
 
-    [telemetry] (default {!Telemetry.noop}) receives per-phase timers
-    [sharded.launch] / [sharded.merge] / [sharded.settle] (and
-    [sharded.barrier_wait] on the pooled multi-worker path), a per-round
-    latency sample, and the counters [sharded.rounds] and
-    [sharded.launch.blocks] (one per randomness block actually launched,
-    i.e. [rounds * Process.shard_count ~bins] per run, however the
-    blocks are scheduled).  Telemetry never affects the trajectory.
-
-    [tracer] (default {!Tracer.noop}) streams round-level events: one
-    observable record per completed round (reduced by worker 0 after the
-    settle barrier on the pooled path), phase spans [sharded.launch] /
-    [sharded.merge] / [sharded.settle] (and [sharded.barrier] when
-    pooled) tagged with the worker index, and the unconditional
-    legitimacy / quarter-empty threshold events.  Tracing never affects
-    the trajectory either: with both sinks disabled the engine takes no
-    clock reads at all.
+    [telemetry] (default {!Telemetry.noop}) and [tracer] (default
+    {!Tracer.noop}) form the round loop's probe: per-phase timers and
+    per-worker spans [sharded.launch] / [sharded.merge] /
+    [sharded.settle], a [sharded.barrier_wait] timer and
+    [sharded.barrier] spans when more than one domain runs, a latency
+    sample and an observable record per completed round, the
+    unconditional threshold events, and the counters [sharded.rounds]
+    and [sharded.launch.blocks] (committed rounds times
+    [Process.shard_count ~bins], however the blocks are scheduled).
+    Neither sink affects the trajectory; with both disabled the engine
+    takes no clock reads at all.
 
     [failpoints] (default {!Failpoint.noop}) guards the phases
     [sharded.launch] / [sharded.merge] / [sharded.settle] at entry,
@@ -119,9 +119,9 @@ val run : t -> rounds:int -> unit
 (** [run t ~rounds] advances [rounds] rounds ([rounds = 0] is a no-op).
 
     Failure semantics: with an attached supervisor, faults are retried
-    and an exhausted budget degrades the rest of the call to the
-    sequential inline path ({!degraded} turns true) — the trajectory is
-    unaffected either way.  Without one, the first fault re-raises after
+    and an exhausted budget degrades the rest of the call to one domain,
+    whatever [shards] and [domains] are ({!degraded} turns true) — the
+    trajectory is unaffected either way.  Without one, the first fault re-raises after
     all domains join, with the engine rolled back to its last completed
     round.
     @raise Invalid_argument if [rounds < 0]. *)
@@ -150,8 +150,8 @@ val set_config : t -> Rbb_core.Config.t -> unit
     @raise Invalid_argument if [q] has a different bin or ball count. *)
 
 val degraded : t -> bool
-(** True once a retry budget was exhausted and the engine fell back to
-    the sequential inline path (failpoints are bypassed from then on).
+(** True once a retry budget was exhausted and the engine finished that
+    call on one domain (failpoints are bypassed from then on).
     The trajectory is unaffected — degradation costs parallelism, not
     correctness. *)
 

@@ -29,7 +29,7 @@ type t = {
   pools : Rbb_prng.Multinomial.t array;  (* one bit pool per worker *)
   parts : (int * int) array;  (* per-worker (max_load, empty) reduce input *)
   telemetry : Telemetry.t;
-  tracer : Tracer.t;
+  probe : Probe.t;
   mutable round : int;
   mutable max_load : int;
   mutable empty : int;
@@ -60,7 +60,7 @@ let make ~telemetry ~tracer ~capacity ~domains ~rng ~master ~round ~init ~who =
     pools = Array.init workers (fun _ -> Rbb_prng.Multinomial.create rng);
     parts = Array.make workers (0, 0);
     telemetry;
-    tracer;
+    probe = Probe.compose (Telemetry.probe telemetry) (Tracer.probe tracer);
     round;
     max_load = Config.max_load init;
     empty = Config.empty_bins init;
@@ -110,9 +110,8 @@ let block_range t w =
 (* Phase A for worker [w]: every owned source block scans its loads
    slice for the released total and splits it over destination blocks
    into its private matrix row.  All randomness comes from the block's
-   release stream, so worker assignment cannot change a draw.  Returns
-   the number of blocks processed (for the telemetry counter). *)
-let release_phase t ~rnd w =
+   release stream, so worker assignment cannot change a draw. *)
+let release_phase t ~round w =
   let pool = t.pools.(w) in
   let b_lo, b_hi = block_range t w in
   for b = b_lo to b_hi - 1 do
@@ -120,14 +119,13 @@ let release_phase t ~rnd w =
     Array.fill row 0 t.blocks 0;
     ignore
       (Counts_process.release_block ~pool ~engine:t.engine ~master:t.master
-         ~round:rnd ~loads:t.loads ~capacity:t.capacity ~block:b ~into:row)
-  done;
-  b_hi - b_lo
+         ~round ~loads:t.loads ~capacity:t.capacity ~block:b ~into:row)
+  done
 
 (* Phase B for worker [w]: every owned destination block column-sums
    the matrix, places its arrival total over its bins, and settles its
-   slice in place; returns the worker's (max_load, empty) part. *)
-let place_phase t ~rnd w =
+   slice in place, leaving the worker's (max_load, empty) part. *)
+let place_phase t ~round w =
   let pool = t.pools.(w) in
   let bins = n t in
   let b_lo, b_hi = block_range t w in
@@ -138,7 +136,7 @@ let place_phase t ~rnd w =
       count := !count + Array.unsafe_get (Array.unsafe_get t.matrix b) d
     done;
     Counts_process.place_block ~pool ~engine:t.engine ~master:t.master
-      ~round:rnd ~bins ~arrivals:t.arrivals ~block:d ~count:!count;
+      ~round ~bins ~arrivals:t.arrivals ~block:d ~count:!count;
     let lo, hi = Process.shard_bounds ~bins ~shard:d in
     let ml, e =
       Process.step_settle ~loads:t.loads ~arrivals:t.arrivals
@@ -147,133 +145,40 @@ let place_phase t ~rnd w =
     if ml > !max_l then max_l := ml;
     empty := !empty + e
   done;
-  (!max_l, !empty)
+  t.parts.(w) <- (!max_l, !empty)
 
-let reduce_parts t =
-  let max_l = ref 0 and empty = ref 0 in
-  Array.iter
-    (fun (m, e) ->
-      if m > !max_l then max_l := m;
-      empty := !empty + e)
-    t.parts;
-  t.max_load <- !max_l;
-  t.empty <- !empty
+let reduce parts =
+  Array.fold_left
+    (fun (max_l, empty) (m, e) -> (Stdlib.max max_l m, empty + e))
+    (0, 0) parts
 
-let run_inline t ~rounds =
-  let tel = t.telemetry in
-  let tr = t.tracer in
-  let tel_on = Telemetry.enabled tel in
-  let tr_on = Tracer.enabled tr in
-  let timed = tel_on || tr_on in
-  let now () =
-    if tel_on then Telemetry.now tel else if tr_on then Tracer.now tr else 0L
-  in
-  let blocks_done = ref 0 in
-  for _ = 1 to rounds do
-    let rnd = t.round in
-    let t0 = if timed then now () else 0L in
-    for w = 0 to t.workers - 1 do
-      blocks_done := !blocks_done + release_phase t ~rnd w
-    done;
-    let t1 = if timed then now () else 0L in
-    for w = 0 to t.workers - 1 do
-      t.parts.(w) <- place_phase t ~rnd w
-    done;
-    reduce_parts t;
-    t.round <- t.round + 1;
-    if timed then begin
-      let t2 = now () in
-      if tel_on then begin
-        Telemetry.timer_add tel "counts_sharded.release" (Int64.sub t1 t0);
-        Telemetry.timer_add tel "counts_sharded.place" (Int64.sub t2 t1);
-        Telemetry.record_latency tel (Int64.sub t2 t0)
-      end;
-      if tr_on then begin
-        Tracer.span tr ~name:"counts_sharded.release" ~worker:0 ~round:t.round
-          ~t0 ~t1;
-        Tracer.span tr ~name:"counts_sharded.place" ~worker:0 ~round:t.round
-          ~t0:t1 ~t1:t2;
-        Tracer.observe tr ~round:t.round ~max_load:t.max_load
-          ~empty_bins:t.empty ~balls:t.m
-      end
-    end
-  done;
-  if tel_on then begin
-    Telemetry.add tel "counts_sharded.rounds" rounds;
-    Telemetry.add tel "counts_sharded.release.blocks" !blocks_done
-  end
-
-let run_pooled t ~rounds =
-  (* One spawn per worker for the whole run, two barriers per round, as
-     in Sharded.run_pooled; phases here have no failure handling (the
-     counts engine has no failpoint surface), which keeps the loop to
-     the two rendezvous.  Telemetry accumulates in per-worker locals
-     flushed once after the loop; worker 0 records latency and the
-     per-round observable (race-free after the second barrier, before
-     its next first barrier). *)
-  let barrier = Parallel.Barrier.create t.workers in
-  let r0 = t.round in
-  let tel = t.telemetry in
-  let tr = t.tracer in
-  let tel_on = Telemetry.enabled tel in
-  let tr_on = Tracer.enabled tr in
-  let timed = tel_on || tr_on in
-  let work w () =
-    let now () =
-      if tel_on then Telemetry.now tel else if tr_on then Tracer.now tr else 0L
-    in
-    let tick r t0 t1 = r := Int64.add !r (Int64.sub t1 t0) in
-    let release_ns = ref 0L and place_ns = ref 0L and barrier_ns = ref 0L in
-    let blocks_done = ref 0 in
-    for rnd = r0 to r0 + rounds - 1 do
-      let r = rnd + 1 in
-      let t0 = now () in
-      blocks_done := !blocks_done + release_phase t ~rnd w;
-      let t1 = now () in
-      if tr_on then
-        Tracer.span tr ~name:"counts_sharded.release" ~worker:w ~round:r ~t0
-          ~t1;
-      Parallel.Barrier.wait barrier;
-      let t2 = now () in
-      t.parts.(w) <- place_phase t ~rnd w;
-      let t3 = now () in
-      if tr_on then
-        Tracer.span tr ~name:"counts_sharded.place" ~worker:w ~round:r ~t0:t2
-          ~t1:t3;
-      Parallel.Barrier.wait barrier;
-      let t4 = now () in
-      tick release_ns t0 t1;
-      tick place_ns t2 t3;
-      tick barrier_ns t1 t2;
-      tick barrier_ns t3 t4;
-      if timed && w = 0 then Telemetry.record_latency tel (Int64.sub t4 t0);
-      if tr_on && w = 0 then begin
-        let max_l = ref 0 and empty = ref 0 in
-        Array.iter
-          (fun (m, e) ->
-            if m > !max_l then max_l := m;
-            empty := !empty + e)
-          t.parts;
-        Tracer.observe tr ~round:r ~max_load:!max_l ~empty_bins:!empty
-          ~balls:t.m
-      end
-    done;
-    if tel_on then begin
-      Telemetry.timer_add tel "counts_sharded.release" !release_ns;
-      Telemetry.timer_add tel "counts_sharded.place" !place_ns;
-      Telemetry.timer_add tel "counts_sharded.barrier_wait" !barrier_ns;
-      Telemetry.add tel "counts_sharded.release.blocks" !blocks_done
-    end
-  in
-  List.iter Domain.join (List.init t.workers (fun w -> Domain.spawn (work w)));
-  reduce_parts t;
-  t.round <- r0 + rounds;
-  if tel_on then Telemetry.add tel "counts_sharded.rounds" rounds
+(* Observables of a completed round: [parts] is final after the round's
+   last barrier, and the next round's release stage does not touch it. *)
+let observe t ~round =
+  let max_load, empty_bins = reduce t.parts in
+  t.probe.on_round ~round ~max_load ~empty_bins ~balls:t.m
 
 let run t ~rounds =
   if rounds < 0 then invalid_arg "Sharded_counts.run: rounds < 0";
-  if rounds > 0 then
-    if t.workers = 1 then run_inline t ~rounds else run_pooled t ~rounds
+  if rounds > 0 then begin
+    let phase name run = { Parallel.name; workers = t.workers; run } in
+    match
+      Parallel.rounds ~probe:t.probe ~family:"counts_sharded" ~domains:t.domains
+        ~round:t.round ~rounds ~observe:(observe t)
+        [
+          [ phase "counts_sharded.release" (release_phase t) ];
+          [ phase "counts_sharded.place" (place_phase t) ];
+        ]
+    with
+    | Some (_, _, exn) -> raise exn
+    | None ->
+        t.round <- t.round + rounds;
+        let max_load, empty = reduce t.parts in
+        t.max_load <- max_load;
+        t.empty <- empty;
+        t.probe.add "counts_sharded.rounds" rounds;
+        t.probe.add "counts_sharded.release.blocks" (rounds * t.blocks)
+  end
 
 let step t = run t ~rounds:1
 

@@ -22,7 +22,9 @@
 
     Rows in phase A and bin slices in phase B are owned by exactly one
     worker, so the matrix is the only cross-worker state and it is
-    written row-exclusively.  Each worker keeps its own
+    written row-exclusively.  The phases run as the stages [[release];
+    [place]] of {!Parallel.rounds}, the round loop shared with
+    {!Sharded}.  Each worker keeps its own
     {!Rbb_prng.Multinomial} bit pool, reset to the owning block's
     stream before every split — worker assignment cannot change a draw.
 
@@ -48,16 +50,15 @@ val create :
     trajectories from the same rng state.  [domains] (default
     {!Parallel.default_domains}) never affects results.
 
-    [telemetry] (default {!Telemetry.noop}) receives per-phase timers
-    [counts_sharded.release] / [counts_sharded.place] (plus
-    [counts_sharded.barrier_wait] on the pooled multi-worker path), a
-    per-round latency sample, and the counters [counts_sharded.rounds]
-    and [counts_sharded.release.blocks].  [tracer] (default
-    {!Tracer.noop}) streams one observable per completed round (reduced
-    by worker 0 after the settle barrier), per-worker phase spans
-    [counts_sharded.release] / [counts_sharded.place], and the
-    unconditional threshold events.  Neither sink affects the
-    trajectory.
+    [telemetry] (default {!Telemetry.noop}) and [tracer] (default
+    {!Tracer.noop}) form the round loop's probe: per-phase timers and
+    per-worker spans [counts_sharded.release] / [counts_sharded.place],
+    a [counts_sharded.barrier_wait] timer and [counts_sharded.barrier]
+    spans when more than one domain runs, a latency sample and an
+    observable per completed round, the unconditional threshold events,
+    and the counters [counts_sharded.rounds] and
+    [counts_sharded.release.blocks] (committed rounds times the block
+    count).  Neither sink affects the trajectory.
     @raise Invalid_argument if [capacity < 1] or [domains < 1]. *)
 
 val restore :
@@ -79,7 +80,9 @@ val restore :
 
 val step : t -> unit
 val run : t -> rounds:int -> unit
-(** @raise Invalid_argument if [rounds < 0]. *)
+(** A phase that raises is re-raised once every domain has joined; the
+    engine's state is then unspecified (place settles in place).
+    @raise Invalid_argument if [rounds < 0]. *)
 
 val round : t -> int
 val n : t -> int

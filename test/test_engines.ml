@@ -335,6 +335,88 @@ let set_config_conserves kind domains () =
   Tutil.check_raises_invalid "ball count differs" (fun () ->
       e.set_config (Config.uniform ~n:conf_n))
 
+(* Observation conformance: each engine built twice by the chooser, once
+   with live telemetry and tracer sinks and once with the noop ones,
+   driven from the n = 64 pile with a re-pile at round 100 so the window
+   holds an enter, an exit and a second enter.  A registry probe is fed
+   from the driving loop, as [rbb simulate] feeds it. *)
+let observed_rounds = 200
+
+let family (kind : Engine.kind) domains =
+  match (kind, domains > 1) with
+  | Balls, false -> "process"
+  | Balls, true -> "sharded"
+  | Counts, false -> "counts"
+  | Counts, true -> "counts_sharded"
+
+let observation kind domains () =
+  let pile = Config.all_in_one ~n:traced_n ~m:traced_n () in
+  let drive ?telemetry ?tracer ?(on_round = fun ~round:_ _ -> ()) () =
+    let e =
+      Rbb_sim.Engines.create ?telemetry ?tracer ~domains ~kind ~rng:(rng 11L)
+        ~init:pile ()
+    in
+    let seen =
+      List.init observed_rounds (fun _ ->
+          if e.round () = observed_rounds / 2 then e.set_config pile;
+          e.step ();
+          let seen = (e.max_load (), e.empty_bins ()) in
+          on_round ~round:(e.round ()) seen;
+          (e.round (), seen))
+    in
+    (seen, e.config ())
+  in
+  let tel = Telemetry.create ~clock:(fake_clock ()) () in
+  let buf = Buffer.create 4096 in
+  let tracer =
+    Tracer.create ~clock:(fake_clock ()) ~ndjson:(`Buffer buf) ~n:traced_n ()
+  in
+  let registry = Rbb_obs.Registry.create () in
+  let rprobe =
+    Rbb_obs.Registry.probe
+      ~threshold:(Config.legitimacy_threshold ~m:traced_n traced_n)
+      registry
+  in
+  let live, live_config =
+    drive ~telemetry:tel ~tracer
+      ~on_round:(fun ~round (max_load, empty_bins) ->
+        rprobe.on_round ~round ~max_load ~empty_bins ~balls:traced_n)
+      ()
+  in
+  Tracer.close tracer;
+  let quiet, quiet_config = drive () in
+  Alcotest.(check bool) "probes never steer: observables" true (live = quiet);
+  Alcotest.(check bool) "probes never steer: configuration" true
+    (Config.equal live_config quiet_config);
+  let observables =
+    List.map
+      (fun f ->
+        ( Option.get (Jsonl.find_int f "round"),
+          ( Option.get (Jsonl.find_int f "max_load"),
+            Option.get (Jsonl.find_int f "empty_bins") ) ))
+      (records_of_type buf "observable")
+  in
+  Alcotest.(check (list (pair int (pair int int))))
+    "one observable per round, equal to the engine's after the step" live
+    observables;
+  let report = Rbb_sim.Trace_report.of_lines (lines_of buf) in
+  let counter name =
+    int_of_float (Rbb_obs.Registry.counter_value registry name)
+  in
+  Alcotest.(check int) "dwell rounds" report.legit_observed
+    (counter "rbb_legitimacy_dwell_rounds_total");
+  Alcotest.(check int) "excursion rounds"
+    (report.observables - report.legit_observed)
+    (counter "rbb_legitimacy_excursion_rounds_total");
+  Alcotest.(check (pair int int)) "enters and exits" (2, 1)
+    (report.enters, report.exits);
+  Alcotest.(check int) "registry enters" report.enters
+    (counter "rbb_legitimacy_enters_total");
+  Alcotest.(check int) "registry exits" report.exits
+    (counter "rbb_legitimacy_exits_total");
+  Alcotest.(check int) "rounds counter" observed_rounds
+    (Telemetry.counter tel (family kind domains ^ ".rounds"))
+
 let create_rejects_counts_misuse () =
   let create ?d_choices ?failpoints () =
     Rbb_sim.Engines.create ?d_choices ?failpoints ~kind:Counts ~rng:(rng 1L)
@@ -390,5 +472,6 @@ let suite =
             Tutil.quick "resume exact" (resume_exact kind domains);
             Tutil.quick "set_config conserves"
               (set_config_conserves kind domains);
+            Tutil.quick "observation" (observation kind domains);
           ] ))
       engines

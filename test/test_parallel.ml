@@ -146,6 +146,133 @@ let parallel_runs_simulations () =
   in
   Tutil.check_close "identical means" seq par
 
+(* ------------------------------------------------------------------ *)
+(* Parallel.rounds                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Three logical workers; stages [a]; [b; c].  Every phase visit is
+   logged as (round, worker, phase), and [fail] decides which visits
+   raise. *)
+let rounds_run ?(probe = { Rbb_core.Probe.noop with tracing = true })
+    ?(fail = fun _ _ _ -> false) ~domains ~rounds () =
+  let lock = Mutex.create () in
+  let visits = ref [] and observed = ref [] in
+  let log r = Mutex.protect lock (fun () -> visits := r :: !visits) in
+  let phase name =
+    {
+      Rbb_sim.Parallel.name;
+      workers = 3;
+      run =
+        (fun ~round w ->
+          log (round, w, name);
+          if fail round w name then
+            failwith (Printf.sprintf "%s %d/%d" name round w));
+    }
+  in
+  let failure =
+    Rbb_sim.Parallel.rounds ~probe ~family:"test" ~domains ~round:0 ~rounds
+      ~observe:(fun ~round -> observed := round :: !observed)
+      [ [ phase "a" ]; [ phase "b"; phase "c" ] ]
+  in
+  (failure, List.rev !visits, List.rev !observed)
+
+let failure_round_worker = function
+  | Some (r, w, Failure _) -> Some (r, w)
+  | Some (_, _, e) -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+  | None -> None
+
+let rounds_failure_stops_at_round () =
+  let failure, visits, observed =
+    rounds_run ~domains:2 ~rounds:10
+      ~fail:(fun r w name -> r = 3 && w = 1 && name = "b")
+      ()
+  in
+  Alcotest.(check (option (pair int int))) "smallest failure" (Some (3, 1))
+    (failure_round_worker failure);
+  for r = 0 to 2 do
+    List.iter
+      (fun name ->
+        for w = 0 to 2 do
+          Alcotest.(check int)
+            (Printf.sprintf "round %d phase %s worker %d ran once" r name w)
+            1
+            (List.length (List.filter (( = ) (r, w, name)) visits))
+        done)
+      [ "a"; "b"; "c" ]
+  done;
+  Alcotest.(check bool) "nothing from rounds >= 4 ran" true
+    (List.for_all (fun (r, _, _) -> r <= 3) visits);
+  Alcotest.(check (list int)) "completed rounds observed once" [ 1; 2; 3 ]
+    observed
+
+let rounds_smallest_worker_wins () =
+  (* Worker 2 raises in phase b, worker 1 only in the stage's later
+     phase c: the rest of a failing stage still runs, so worker 1 wins
+     on every schedule. *)
+  List.iter
+    (fun domains ->
+      for _ = 1 to 20 do
+        let failure, _, _ =
+          rounds_run ~domains ~rounds:6
+            ~fail:(fun r w name ->
+              r = 2 && ((w = 2 && name = "b") || (w = 1 && name = "c")))
+            ()
+        in
+        Alcotest.(check (option (pair int int)))
+          (Printf.sprintf "smallest worker on %d domains" domains)
+          (Some (2, 1)) (failure_round_worker failure)
+      done)
+    [ 1; 2; 3 ]
+
+let rounds_single_domain_order () =
+  let failure, visits, observed = rounds_run ~domains:1 ~rounds:2 () in
+  Alcotest.(check bool) "no failure" true (failure = None);
+  let round r =
+    List.concat_map
+      (fun name -> List.init 3 (fun w -> (r, w, name)))
+      [ "a"; "b"; "c" ]
+  in
+  Alcotest.(check bool) "phases visit workers 0, 1, 2 in order" true
+    (visits = round 0 @ round 1);
+  Alcotest.(check (list int)) "observed" [ 1; 2 ] observed
+
+let fake_clock () =
+  let t = ref 0L in
+  fun () ->
+    t := Int64.add !t 1000L;
+    !t
+
+let rounds_instrumentation () =
+  List.iter
+    (fun domains ->
+      let tel = Rbb_sim.Telemetry.create ~clock:(fake_clock ()) () in
+      let probe = Rbb_sim.Telemetry.probe tel in
+      let failure, _, _ =
+        rounds_run ~probe ~domains ~rounds:8
+          ~fail:(fun r w name -> r = 5 && w = 0 && name = "a")
+          ()
+      in
+      Alcotest.(check (option (pair int int))) "failure" (Some (5, 0))
+        (failure_round_worker failure);
+      let calls name = fst (Rbb_sim.Telemetry.timer tel name) in
+      Alcotest.(check int)
+        (Printf.sprintf "barrier_wait calls on %d domains" domains)
+        (if domains > 1 then domains else 0)
+        (calls "test.barrier_wait");
+      Alcotest.(check int) "phase timer flushed once per domain" domains
+        (calls "b");
+      Alcotest.(check int) "latency sample per completed round" 5
+        (Rbb_sim.Telemetry.latency_count tel))
+    [ 1; 2 ];
+  let tel = Rbb_sim.Telemetry.create ~clock:(fake_clock ()) () in
+  let failure, visits, _ =
+    rounds_run ~probe:(Rbb_sim.Telemetry.probe tel) ~domains:2 ~rounds:0 ()
+  in
+  Alcotest.(check bool) "zero rounds: nothing runs" true
+    (failure = None && visits = []);
+  Alcotest.(check int) "zero rounds: no timers" 0
+    (List.length (Rbb_sim.Telemetry.timers tel))
+
 let suite =
   [
     ( "sim.parallel",
@@ -158,6 +285,12 @@ let suite =
         Tutil.quick "try_run isolates failures" parallel_try_run_isolates_failures;
         Tutil.quick "first exception wins" parallel_first_exception_wins;
         Tutil.quick "map_domains" map_domains_basic;
+        Tutil.quick "rounds: failure stops at its round"
+          rounds_failure_stops_at_round;
+        Tutil.quick "rounds: smallest worker wins" rounds_smallest_worker_wins;
+        Tutil.quick "rounds: one domain plays workers in order"
+          rounds_single_domain_order;
+        Tutil.quick "rounds: instrumentation" rounds_instrumentation;
         Tutil.slow "parallel simulation" parallel_runs_simulations;
       ] );
   ]

@@ -427,46 +427,68 @@ let injected_fault_is_invisible () =
   in
   Alcotest.(check int) "fault records traced" 3 (List.length faults)
 
-(* Exhausting the budget degrades to the sequential path, still with the
-   correct trajectory; without a supervisor the engine rolls back. *)
+(* Every geometry fails the same way: two domains, one worker, and one
+   domain scheduling several shards. *)
+let geometries = [ (3, 2); (1, 1); (4, 1) ]
+
+let geometry_name (shards, domains) what =
+  Printf.sprintf "%s (shards=%d, domains=%d)" what shards domains
+
+(* Exhausting the budget degrades to one domain, still with the correct
+   trajectory; without a supervisor the engine rolls back. *)
 let budget_exhaustion_degrades () =
   let n = 6_000 and rounds = 15 and seed = 87L in
   let reference = reference_config ~n ~seed ~rounds in
-  let tel = Telemetry.create () in
-  let p =
-    Sharded.create ~telemetry:tel
-      ~failpoints:(Failpoint.of_specs [ spec "sharded.merge@round=6,fails=99" ])
-      ~supervisor:(instant_supervisor ~retries:2 ()) ~shards:3 ~domains:2
-      ~rng:(mk_rng seed) ~init:(Config.uniform ~n) ()
-  in
-  Sharded.run p ~rounds;
-  Alcotest.(check bool) "degraded" true (Sharded.degraded p);
-  Alcotest.(check bool) "trajectory still exact" true
-    (Config.equal reference (Sharded.config p));
-  Alcotest.(check int) "round completed" rounds (Sharded.round p);
-  Alcotest.(check int) "degradations" 1 (Telemetry.counter tel "sharded.degraded");
-  (* With several in-flight shard tasks, more than one can exhaust its
-     budget before the engine observes the first exhaustion and
-     degrades — the count is timing-dependent but never zero. *)
-  Alcotest.(check bool) "giving up" true
-    (Telemetry.counter tel "sharded.fault.giving_up" >= 1);
-  Alcotest.(check int) "rounds counter exact" rounds
-    (Telemetry.counter tel "sharded.rounds")
+  List.iter
+    (fun ((shards, domains) as g) ->
+      let label = geometry_name g in
+      let tel = Telemetry.create () in
+      let p =
+        Sharded.create ~telemetry:tel
+          ~failpoints:(Failpoint.of_specs [ spec "sharded.merge@round=6,fails=99" ])
+          ~supervisor:(instant_supervisor ~retries:2 ()) ~shards ~domains
+          ~rng:(mk_rng seed) ~init:(Config.uniform ~n) ()
+      in
+      Sharded.run p ~rounds;
+      Alcotest.(check bool) (label "degraded") true (Sharded.degraded p);
+      Alcotest.(check bool) (label "trajectory still exact") true
+        (Config.equal reference (Sharded.config p));
+      Alcotest.(check int) (label "round completed") rounds (Sharded.round p);
+      Alcotest.(check int) (label "degradations") 1
+        (Telemetry.counter tel "sharded.degraded");
+      (* With several in-flight shard tasks, more than one can exhaust
+         its budget before the engine observes the first exhaustion and
+         degrades — the count is timing-dependent but never zero. *)
+      Alcotest.(check bool) (label "giving up") true
+        (Telemetry.counter tel "sharded.fault.giving_up" >= 1);
+      Alcotest.(check int) (label "rounds counter exact") rounds
+        (Telemetry.counter tel "sharded.rounds"))
+    geometries
 
 let unsupervised_fault_rolls_back () =
   let n = 6_000 and seed = 88L in
-  let p =
-    Sharded.create
-      ~failpoints:(Failpoint.of_specs [ spec "sharded.launch@round=6,fails=99" ])
-      ~shards:3 ~domains:2 ~rng:(mk_rng seed) ~init:(Config.uniform ~n) ()
-  in
-  (match Sharded.run p ~rounds:15 with
-  | exception Failpoint.Injected { name = "sharded.launch"; round = 6; _ } -> ()
-  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
-  | () -> Alcotest.fail "expected Injected");
-  Alcotest.(check int) "rolled back to last committed round" 5 (Sharded.round p);
-  Alcotest.(check bool) "state = reference at round 5" true
-    (Config.equal (reference_config ~n ~seed ~rounds:5) (Sharded.config p))
+  List.iter
+    (fun ((shards, domains) as g) ->
+      let label = geometry_name g in
+      let tel = Telemetry.create () in
+      let p =
+        Sharded.create ~telemetry:tel
+          ~failpoints:(Failpoint.of_specs [ spec "sharded.launch@round=6,fails=99" ])
+          ~shards ~domains ~rng:(mk_rng seed) ~init:(Config.uniform ~n) ()
+      in
+      (match Sharded.run p ~rounds:15 with
+      | exception Failpoint.Injected { name = "sharded.launch"; round = 6; _ } -> ()
+      | exception e ->
+          Alcotest.failf "%s: wrong exception: %s" (label "raise")
+            (Printexc.to_string e)
+      | () -> Alcotest.failf "%s: expected Injected" (label "raise"));
+      Alcotest.(check int) (label "rolled back to last committed round") 5
+        (Sharded.round p);
+      Alcotest.(check bool) (label "state = reference at round 5") true
+        (Config.equal (reference_config ~n ~seed ~rounds:5) (Sharded.config p));
+      Alcotest.(check int) (label "committed rounds counted") 5
+        (Telemetry.counter tel "sharded.rounds"))
+    geometries
 
 let parallel_task_failpoint () =
   let failpoints =

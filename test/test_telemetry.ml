@@ -158,8 +158,8 @@ let process_probe_counters () =
   Alcotest.(check int) "run timer calls" 1 calls
 
 let sharded_phase_timers () =
-  (* Phase timer keys appear on both the inline (1 worker) and pooled
-     paths, with one timer_add flush per worker per run. *)
+  (* Phase timer keys appear on one domain and on two, flushed once per
+     domain per run; barrier_wait only when more than one domain runs. *)
   let n = 5_000 and rounds = 4 in
   let check_keys ~shards ~domains expect_barrier =
     let tel = Telemetry.create () in
