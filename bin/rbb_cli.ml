@@ -1250,7 +1250,7 @@ let job_engine_t =
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let serve socket state_dir workers queue_depth checkpoint_every max_frame
-    telemetry failpoint_specs =
+    failpoint_specs =
   Rbb_serve.Daemon.run
     {
       Rbb_serve.Daemon.socket;
@@ -1260,7 +1260,6 @@ let serve socket state_dir workers queue_depth checkpoint_every max_frame
       checkpoint_every;
       max_frame;
       log = Some stdout;
-      telemetry_path = telemetry;
       io_failpoints = failpoints_of failpoint_specs;
     }
 
@@ -1299,13 +1298,6 @@ let serve_cmd =
       & opt int Rbb_serve.Protocol.default_max_frame
       & info [ "max-frame" ] ~docv:"B" ~doc:"Protocol frame payload limit.")
   in
-  let telemetry_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "telemetry" ] ~docv:"PATH"
-          ~doc:"Write the daemon's telemetry JSON here at shutdown.")
-  in
   let serve_failpoint_t =
     Arg.(
       value & opt_all string []
@@ -1325,7 +1317,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve $ socket_t $ state_dir_t $ workers_t $ queue_depth_t
-      $ checkpoint_every_t $ max_frame_t $ telemetry_t $ serve_failpoint_t)
+      $ checkpoint_every_t $ max_frame_t $ serve_failpoint_t)
 
 let submit socket n balls rounds seed init_name engine deadline wait status_of
     result_of stats metrics shutdown =

@@ -216,12 +216,20 @@ printf 'XX' | dd of="$servedir/c/job-000001.ckpt" bs=1 seek=40 conv=notrunc 2> /
 pid=$!
 "$rbb" submit --socket "$tracedir/c.sock" --result job-000001 > "$servedir/chaotic.txt"
 "$rbb" submit --socket "$tracedir/c.sock" --stats > "$servedir/cstats.json"
+# Scraped over the socket: metrics.prom may miss a write under the
+# armed fsync faults.
+"$rbb" submit --socket "$tracedir/c.sock" --metrics > "$servedir/cscrape.txt"
 "$rbb" submit --socket "$tracedir/c.sock" --shutdown > /dev/null
 wait "$pid"
 [ -n "$(ls -A "$servedir/c/quarantine" 2> /dev/null)" ] \
   || { echo "check.sh: corrupted checkpoint was not quarantined"; exit 1; }
 grep -q '"quarantined":[1-9]' "$servedir/cstats.json" \
   || { echo "check.sh: daemon stats did not count the quarantine"; exit 1; }
+q_stats=$(grep -o '"quarantined":[0-9]*' "$servedir/cstats.json" | grep -o '[0-9]*$')
+q_scraped=$(grep -o '^rbb_quarantined_total [0-9]*$' "$servedir/cscrape.txt" \
+  | grep -o '[0-9]*$' || true)
+[ "$q_scraped" = "$q_stats" ] \
+  || { echo "check.sh: scraped rbb_quarantined_total ${q_scraped:-missing} != stats quarantined $q_stats"; exit 1; }
 cmp -s "$servedir/chaotic.txt" "$servedir/solid.txt" \
   || { echo "check.sh: corrupted-checkpoint recovery diverged from the uninterrupted run"; exit 1; }
 

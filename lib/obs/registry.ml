@@ -1,10 +1,9 @@
 (* Process-wide labeled metrics registry: counters, gauges and
-   log-bucketed histograms keyed by (name, sorted label set), with a
-   rolling time window for live quantiles.  Same discipline as
-   Telemetry: one mutex serialises all mutation, the noop registry
-   short-circuits every operation to a single pattern match, and
-   snapshots are deterministically ordered so renderings can be pinned
-   by golden tests. *)
+   log-bucketed histograms keyed by (name, sorted label set).  Same
+   discipline as Telemetry: one mutex serialises all mutation, the noop
+   registry short-circuits every operation to a single pattern match,
+   and snapshots are deterministically ordered so renderings can be
+   pinned by golden tests. *)
 
 type labels = (string * string) list
 
@@ -51,19 +50,7 @@ let bucket_of_value v =
     let idx = if v <= bound_of_bucket (idx - 1) then idx - 1 else idx in
     Stdlib.max 1 (Stdlib.min (nbuckets - 1) idx)
 
-type hist = {
-  counts : int array;  (* all-time, per bucket *)
-  mutable total : int;
-  mutable sum : float;
-  (* Rolling window: [slices] sub-histograms covering [slice_s] seconds
-     each; the head slice is the one currently being written.  A
-     window quantile merges every slice, so it spans the last
-     window_s .. window_s + slice_s seconds of observations. *)
-  slices : int array array;
-  slice_totals : int array;
-  mutable head : int;
-  mutable head_start_s : float;
-}
+type hist = { counts : int array; mutable total : int; mutable sum : float }
 
 type kind = Kcounter | Kgauge | Khist
 
@@ -74,8 +61,6 @@ type series =
 
 type sink = {
   clock : unit -> int64;
-  window_s : float;
-  slice_s : float;
   lock : Mutex.t;
   series : (string * labels, series) Hashtbl.t;
   kinds : (string, kind) Hashtbl.t;
@@ -86,15 +71,10 @@ type t = Noop | Active of sink
 
 let noop = Noop
 
-let create ?(clock = Monotonic_clock.now) ?(window_s = 60.) ?(slices = 6) () =
-  if not (window_s > 0.) then
-    invalid_arg "Registry.create: window_s must be positive";
-  if slices < 1 then invalid_arg "Registry.create: slices must be at least 1";
+let create ?(clock = Monotonic_clock.now) () =
   Active
     {
       clock;
-      window_s;
-      slice_s = window_s /. float_of_int slices;
       lock = Mutex.create ();
       series = Hashtbl.create 32;
       kinds = Hashtbl.create 32;
@@ -102,7 +82,6 @@ let create ?(clock = Monotonic_clock.now) ?(window_s = 60.) ?(slices = 6) () =
     }
 
 let enabled = function Noop -> false | Active _ -> true
-let now_ns = function Noop -> 0L | Active s -> s.clock ()
 
 let kind_name = function
   | Kcounter -> "counter"
@@ -125,18 +104,6 @@ let find_series s ~name ~labels ~kind ~make =
       let v = make () in
       Hashtbl.add s.series (name, labels) v;
       v
-
-let fresh_hist s =
-  let slices = Stdlib.max 1 (int_of_float (s.window_s /. s.slice_s)) in
-  {
-    counts = Array.make nbuckets 0;
-    total = 0;
-    sum = 0.;
-    slices = Array.init slices (fun _ -> Array.make nbuckets 0);
-    slice_totals = Array.make slices 0;
-    head = 0;
-    head_start_s = Int64.to_float (s.clock ()) /. 1e9;
-  }
 
 let help t ~name text =
   match t with
@@ -194,22 +161,6 @@ let set_gauge t ?(labels = []) name v =
       | Counter _ | Hist _ -> assert false);
       Mutex.unlock s.lock
 
-(* Advance the window ring so the head slice covers [now_s].  A gap
-   longer than the whole window simply clears every slice. *)
-let rotate s h ~now_s =
-  if now_s -. h.head_start_s >= s.window_s +. s.slice_s then begin
-    Array.iter (fun sl -> Array.fill sl 0 nbuckets 0) h.slices;
-    Array.fill h.slice_totals 0 (Array.length h.slice_totals) 0;
-    h.head_start_s <- now_s
-  end
-  else
-    while now_s -. h.head_start_s >= s.slice_s do
-      h.head <- (h.head + 1) mod Array.length h.slices;
-      Array.fill h.slices.(h.head) 0 nbuckets 0;
-      h.slice_totals.(h.head) <- 0;
-      h.head_start_s <- h.head_start_s +. s.slice_s
-    done
-
 let observe t ?(labels = []) name v =
   match t with
   | Noop -> ()
@@ -218,16 +169,13 @@ let observe t ?(labels = []) name v =
       Mutex.lock s.lock;
       (match
          find_series s ~name ~labels ~kind:Khist ~make:(fun () ->
-             Hist (fresh_hist s))
+             Hist { counts = Array.make nbuckets 0; total = 0; sum = 0. })
        with
       | Hist h ->
           let b = bucket_of_value v in
           h.counts.(b) <- h.counts.(b) + 1;
           h.total <- h.total + 1;
-          h.sum <- h.sum +. v;
-          rotate s h ~now_s:(Int64.to_float (s.clock ()) /. 1e9);
-          h.slices.(h.head).(b) <- h.slices.(h.head).(b) + 1;
-          h.slice_totals.(h.head) <- h.slice_totals.(h.head) + 1
+          h.sum <- h.sum +. v
       | Counter _ | Gauge _ -> assert false);
       Mutex.unlock s.lock
 
@@ -299,23 +247,6 @@ let quantile t ?labels name q =
     | Hist h -> quantile_of_counts h.counts h.total q
     | Counter _ | Gauge _ -> None)
 
-let window_quantile t ?labels name q =
-  match t with
-  | Noop -> None
-  | Active s ->
-      with_series t ?labels name ~default:None (function
-        | Hist h ->
-            rotate s h ~now_s:(Int64.to_float (s.clock ()) /. 1e9);
-            let merged = Array.make nbuckets 0 in
-            let total = ref 0 in
-            Array.iter
-              (fun sl ->
-                Array.iteri (fun i c -> merged.(i) <- merged.(i) + c) sl)
-              h.slices;
-            Array.iter (fun c -> total := !total + c) h.slice_totals;
-            quantile_of_counts merged !total q
-        | Counter _ | Gauge _ -> None)
-
 let reset_histograms t =
   match t with
   | Noop -> ()
@@ -327,9 +258,7 @@ let reset_histograms t =
           | Hist h ->
               Array.fill h.counts 0 nbuckets 0;
               h.total <- 0;
-              h.sum <- 0.;
-              Array.iter (fun sl -> Array.fill sl 0 nbuckets 0) h.slices;
-              Array.fill h.slice_totals 0 (Array.length h.slice_totals) 0
+              h.sum <- 0.
           | Counter _ | Gauge _ -> ())
         s.series;
       Mutex.unlock s.lock
@@ -517,9 +446,9 @@ let probe ?(labels = []) ?threshold t =
       }
 
 (* Re-export a Telemetry sink's registers.  Set-semantics (absolute
-   values) so the import is idempotent: a daemon can re-import at every
-   scrape without double counting, and an engine whose probe already
-   accumulated the same instruments lands on identical totals. *)
+   values) so the import is idempotent: a repeated import does not
+   double count, and an engine whose probe already accumulated the same
+   instruments lands on identical totals. *)
 let import_telemetry ?labels t tel =
   if enabled t && Rbb_sim.Telemetry.enabled tel then begin
     List.iter

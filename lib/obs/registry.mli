@@ -1,8 +1,7 @@
 (** Process-wide labeled metrics registry.
 
     Counters, gauges and log-bucketed (HDR-style) histograms keyed by
-    [(name, label set)], with rolling-time-window quantiles over an
-    injectable clock and deterministic snapshots for the Prometheus
+    [(name, label set)], with deterministic snapshots for the Prometheus
     exporter ({!Rbb_obs.Prometheus}).  The daemon keeps one registry per
     process (per-job wait/service/sojourn histograms, queue gauges), and
     engines feed one through {!probe} — the same pay-for-what-you-use
@@ -23,16 +22,7 @@
     octave from 2^-30 s (~1 ns) to 2^20 s, so adjacent bucket bounds are
     2^(1/16) ~ 4.4% apart and interpolated quantiles carry < 5% relative
     error.  The shared geometry is what makes scraped histograms
-    mergeable bucket-wise ({!merge_histogram}).
-
-    {2 Window quantiles}
-
-    Each histogram additionally maintains [slices] rotating
-    sub-histograms of [window_s / slices] seconds each, driven by the
-    registry clock; {!window_quantile} merges the live slices, so it
-    spans between [window_s] and [window_s + window_s/slices] seconds of
-    trailing observations.  Tests inject a fake clock to pin rotation
-    exactly. *)
+    mergeable bucket-wise ({!merge_histogram}). *)
 
 type t
 
@@ -43,15 +33,12 @@ val noop : t
 (** Inert registry: all operations are no-ops, all readers return their
     defaults, [enabled] is false. *)
 
-val create : ?clock:(unit -> int64) -> ?window_s:float -> ?slices:int -> unit -> t
+val create : ?clock:(unit -> int64) -> unit -> t
 (** A fresh active registry.  [clock] returns monotonic nanoseconds
-    (default: the process-wide monotonic clock); [window_s] (default 60)
-    and [slices] (default 6) size the rolling quantile window. *)
+    (default: the process-wide monotonic clock); it is the clock of
+    {!probe}'s [now]. *)
 
 val enabled : t -> bool
-
-val now_ns : t -> int64
-(** Current clock reading in nanoseconds (0 on {!noop}). *)
 
 val help : t -> name:string -> string -> unit
 (** Register a [# HELP] line for [name] in the exposition. *)
@@ -82,17 +69,13 @@ val hist_count : t -> ?labels:labels -> string -> int
 val hist_sum : t -> ?labels:labels -> string -> float
 
 val quantile : t -> ?labels:labels -> string -> float -> float option
-(** All-time quantile [q] in [0,1], interpolated within the winning
-    bucket; [None] when the histogram is absent or empty. *)
-
-val window_quantile : t -> ?labels:labels -> string -> float -> float option
-(** Like {!quantile} over the trailing time window only. *)
+(** Quantile [q] in [0,1], interpolated within the winning bucket;
+    [None] when the histogram is absent or empty. *)
 
 val reset_histograms : t -> unit
-(** Zero every histogram (all-time and window state), leaving counters
-    and gauges untouched.  The daemon calls this on [reset_stats] so a
-    scrape after an [rbb slam] measurement window reflects only that
-    window's jobs. *)
+(** Zero every histogram, leaving counters and gauges untouched.  The
+    daemon calls this on [reset_stats] so a scrape after an [rbb slam]
+    measurement window reflects only that window's jobs. *)
 
 (** {2 Snapshots} *)
 
@@ -146,6 +129,6 @@ val import_telemetry : ?labels:labels -> t -> Rbb_sim.Telemetry.t -> unit
 (** Re-export a {!Rbb_sim.Telemetry} sink's counters, gauges and timers
     into this registry with set-semantics ([<name>_total],
     [<name>_seconds_total], [<name>_calls_total]) — idempotent, so a
-    daemon can re-import at every scrape without double counting, and a
-    live {!probe} that already accumulated the same instruments lands on
-    identical totals. *)
+    repeated import does not double count, and a live {!probe} that
+    already accumulated the same instruments lands on identical
+    totals. *)

@@ -27,6 +27,7 @@ type t = {
   mutable last_arrival : int64;
   mutable wait_ns : float list;
   mutable service_ns : float list;
+  mutable service_sum_ns : float;  (* sum of [service_ns] *)
   mutable sojourn_ns : float list;
 }
 
@@ -51,6 +52,7 @@ let create ?(clock = Monotonic_clock.now) ~depth ~servers () =
     last_arrival = 0L;
     wait_ns = [];
     service_ns = [];
+    service_sum_ns = 0.;
     sojourn_ns = [];
   }
 
@@ -63,18 +65,15 @@ let note_arrival t now =
   if t.first_arrival = 0L then t.first_arrival <- now;
   t.last_arrival <- now
 
-let mean l =
-  match l with
-  | [] -> nan
-  | _ -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-
-(* Backoff hint: expected backlog drain time, from measured service
-   times (100 ms per queued job before any measurement exists). *)
+(* Backoff hint: expected backlog drain time, from the mean measured
+   service time (100 ms per queued job before any measurement exists).
+   Every finished job left one service sample, so the mean is the
+   running sum over [completed + failed]: O(1) under the lock. *)
 let retry_after_ms t =
+  let finished = t.completed + t.failed in
   let per_job_ms =
-    match t.service_ns with
-    | [] -> 100.
-    | l -> mean l /. 1e6
+    if finished = 0 then 100.
+    else t.service_sum_ns /. float_of_int finished /. 1e6
   in
   let backlog = Queue.length t.queue + 1 in
   max 1
@@ -142,8 +141,9 @@ let note_done t entry ~ok =
   locked t (fun () ->
       let now = t.clock () in
       if ok then t.completed <- t.completed + 1 else t.failed <- t.failed + 1;
-      t.service_ns <-
-        Int64.to_float (Int64.sub now entry.t_start) :: t.service_ns;
+      let service = Int64.to_float (Int64.sub now entry.t_start) in
+      t.service_ns <- service :: t.service_ns;
+      t.service_sum_ns <- t.service_sum_ns +. service;
       t.sojourn_ns <-
         Int64.to_float (Int64.sub now entry.t_submit) :: t.sojourn_ns)
 
@@ -190,4 +190,5 @@ let reset_stats t =
       t.last_arrival <- 0L;
       t.wait_ns <- [];
       t.service_ns <- [];
+      t.service_sum_ns <- 0.;
       t.sojourn_ns <- [])

@@ -60,9 +60,9 @@ val submit :
 (** Enqueue, or reject when [depth] entries are already waiting.
     [`Accepted k] reports the queue length after the insert;
     [`Rejected ms] hints how long to back off (the expected time for
-    the backlog to drain: [queue_len * mean_service / servers], from
-    measured service times, with a coarse default before any job has
-    completed).  Rejected when closed, too. *)
+    the backlog to drain: [(queue_len + 1) * mean_service / servers],
+    from measured service times, with a coarse default before any job
+    has finished).  Rejected when closed, too. *)
 
 val resubmit : t -> id:string -> spec:Protocol.job_spec -> unit
 (** Recovery-path enqueue that ignores the depth bound: jobs found on

@@ -5,7 +5,6 @@
    daemon mutex guarding job states + the event queue. *)
 
 module Jsonl = Rbb_sim.Jsonl
-module Telemetry = Rbb_sim.Telemetry
 module Fileio = Rbb_sim.Fileio
 module Failpoint = Rbb_sim.Failpoint
 module Registry = Rbb_obs.Registry
@@ -19,7 +18,6 @@ type config = {
   checkpoint_every : int;
   max_frame : int;
   log : out_channel option;
-  telemetry_path : string option;
   io_failpoints : Failpoint.t;
 }
 
@@ -32,7 +30,6 @@ let default_config ~socket ~state_dir =
     checkpoint_every = 256;
     max_frame = Protocol.default_max_frame;
     log = None;
-    telemetry_path = None;
     io_failpoints = Failpoint.noop;
   }
 
@@ -56,18 +53,15 @@ type conn = {
 type t = {
   cfg : config;
   admission : Admission.t;
-  tel : Telemetry.t;
   registry : Registry.t;
+      (** every counter and histogram the daemon keeps; locks itself *)
   lock : Mutex.t;
-      (** guards [states], [events], [workers_live], [deadlines] and the
-          quarantine / deadline counters *)
+      (** guards [states], [events], [workers_live] and [deadlines] *)
   states : (string, job_state) Hashtbl.t;
   events : Protocol.event Queue.t;
   deadlines : (string, float * bool Atomic.t) Hashtbl.t;
       (** running jobs with a finite deadline: absolute monotonic expiry
           plus the cancel flag the owning worker polls each round *)
-  mutable quarantined : int;
-  mutable deadlined : int;
   mutable workers_live : int;
   (* event-loop-domain state: *)
   mutable draining : bool;
@@ -147,7 +141,7 @@ let fail_job t entry ~round ~detail ~outcome =
   let id = entry.Admission.id in
   Admission.note_done t.admission entry ~ok:false;
   observe_job t entry ~outcome;
-  Telemetry.incr t.tel "serve.failed";
+  Registry.incr t.registry "serve.failed_total";
   (* Durable failure record: without it, scan would resubmit the job on
      every restart and it would re-fail forever. *)
   (try Job.write_failed ~state_dir:t.cfg.state_dir ~id ~round ~detail
@@ -162,7 +156,7 @@ let worker_loop t _w =
     | Some entry ->
         let id = entry.Admission.id in
         Admission.note_started t.admission entry;
-        Telemetry.incr t.tel "serve.started";
+        Registry.incr t.registry "serve.started_total";
         set_state t id (Running 0);
         push_event t { Protocol.ev = "started"; id; round = 0; detail = "" };
         let last_round = ref 0 in
@@ -175,8 +169,7 @@ let worker_loop t _w =
                push_event t
                  { Protocol.ev = "checkpoint"; id; round; detail = "" })
              ~on_quarantine:(fun ~path ~reason ->
-               with_lock t (fun () -> t.quarantined <- t.quarantined + 1);
-               Telemetry.incr t.tel "serve.quarantined";
+               Registry.incr t.registry "rbb_quarantined_total";
                push_event t
                  {
                    Protocol.ev = "quarantined";
@@ -185,7 +178,7 @@ let worker_loop t _w =
                    detail = Printf.sprintf "%s: %s" path reason;
                  })
              ~on_save_error:(fun ~round:_ ~error:_ ->
-               Telemetry.incr t.tel "serve.checkpoint_save_errors")
+               Registry.incr t.registry "serve.checkpoint_save_errors_total")
              ~should_stop ~state_dir:t.cfg.state_dir
              ~checkpoint_every:t.cfg.checkpoint_every ~id entry.Admission.spec
          with
@@ -193,16 +186,13 @@ let worker_loop t _w =
             disarm_deadline t ~id;
             Admission.note_done t.admission entry ~ok:true;
             observe_job t entry ~outcome:"ok";
-            Telemetry.incr t.tel "serve.completed";
-            Telemetry.record_latency t.tel
-              (Int64.sub (Monotonic_clock.now ()) entry.Admission.t_submit);
+            Registry.incr t.registry "serve.completed_total";
             let rounds = entry.Admission.spec.Protocol.rounds in
             set_state t id (Finished rounds);
             push_event t { Protocol.ev = "done"; id; round = rounds; detail = "" }
         | exception Job.Canceled { round; reason; _ } ->
             disarm_deadline t ~id;
-            with_lock t (fun () -> t.deadlined <- t.deadlined + 1);
-            Telemetry.incr t.tel "serve.deadlined";
+            Registry.incr t.registry "rbb_jobs_deadlined_total";
             fail_job t entry ~round ~detail:reason ~outcome:"deadline"
         | exception e ->
             disarm_deadline t ~id;
@@ -230,20 +220,30 @@ let sample_fields name arr =
       (name ^ "_p99_s", Jsonl.Float (sec (q arr 0.99)));
     ]
 
-let stats_fields t =
-  let s = Admission.stats t.admission in
+(* The arrival window in seconds and the estimated arrival rate λ̂ over
+   it, once two arrivals span a positive window. *)
+let arrival_rate s =
   let window_ns =
     Int64.to_float (Int64.sub s.Admission.last_arrival s.Admission.first_arrival)
   in
+  if s.Admission.arrivals >= 2 && window_ns > 0. then
+    let window_s = window_ns /. 1e9 in
+    Some (window_s, float_of_int (s.Admission.arrivals - 1) /. window_s)
+  else None
+
+let counter_field t name =
+  Jsonl.Int (int_of_float (Registry.counter_value t.registry name))
+
+let stats_fields t =
+  let s = Admission.stats t.admission in
   let rate_fields =
-    if s.Admission.arrivals >= 2 && window_ns > 0. then
-      [
-        ("arrival_window_s", Jsonl.Float (window_ns /. 1e9));
-        ( "lambda_hat_per_s",
-          Jsonl.Float
-            (float_of_int (s.Admission.arrivals - 1) /. (window_ns /. 1e9)) );
-      ]
-    else []
+    match arrival_rate s with
+    | Some (window_s, lambda_hat) ->
+        [
+          ("arrival_window_s", Jsonl.Float window_s);
+          ("lambda_hat_per_s", Jsonl.Float lambda_hat);
+        ]
+    | None -> []
   in
   [
     ("workers", Jsonl.Int t.cfg.workers);
@@ -254,10 +254,8 @@ let stats_fields t =
     ("started", Jsonl.Int s.Admission.started);
     ("completed", Jsonl.Int s.Admission.completed);
     ("failed", Jsonl.Int s.Admission.failed);
-    ( "deadlined",
-      Jsonl.Int (with_lock t (fun () -> t.deadlined)) );
-    ( "quarantined",
-      Jsonl.Int (with_lock t (fun () -> t.quarantined)) );
+    ("deadlined", counter_field t "rbb_jobs_deadlined_total");
+    ("quarantined", counter_field t "rbb_quarantined_total");
     ("io_faults_injected", Jsonl.Int (Fileio.injected_faults ()));
   ]
   @ rate_fields
@@ -265,11 +263,10 @@ let stats_fields t =
   @ sample_fields "service" s.Admission.service_ns
   @ sample_fields "sojourn" s.Admission.sojourn_ns
 
-(* Bring the registry's counters and gauges up to date with the
-   admission plane and the lifetime telemetry before every exposition.
-   Everything here is set-semantics, so refreshing is idempotent; the
-   job histograms are the only push-style series and the workers feed
-   those directly. *)
+(* Bring the registry's gauges and Admission-derived counters up to
+   date before every exposition.  Everything here is set-semantics, so
+   refreshing is idempotent; the lifetime counters and the job
+   histograms are pushed where their events happen. *)
 let refresh_registry t =
   let r = t.registry in
   let s = Admission.stats t.admission in
@@ -288,20 +285,10 @@ let refresh_registry t =
     (float_of_int s.Admission.completed);
   Registry.set_counter r "rbb_jobs_failed_total"
     (float_of_int s.Admission.failed);
-  let deadlined, quarantined =
-    with_lock t (fun () -> (t.deadlined, t.quarantined))
-  in
-  Registry.set_counter r "rbb_jobs_deadlined_total" (float_of_int deadlined);
-  Registry.set_counter r "rbb_quarantined_total" (float_of_int quarantined);
   Registry.set_counter r "rbb_io_faults_injected_total"
     (float_of_int (Fileio.injected_faults ()));
-  let window_ns =
-    Int64.to_float (Int64.sub s.Admission.last_arrival s.Admission.first_arrival)
-  in
   let lambda_hat =
-    if s.Admission.arrivals >= 2 && window_ns > 0. then
-      float_of_int (s.Admission.arrivals - 1) /. (window_ns /. 1e9)
-    else 0.
+    match arrival_rate s with Some (_, lambda_hat) -> lambda_hat | None -> 0.
   in
   Registry.set_gauge r "rbb_lambda_hat_per_s" lambda_hat;
   let mu_hat =
@@ -313,8 +300,7 @@ let refresh_registry t =
   Registry.set_gauge r "rbb_utilization"
     (if mu_hat > 0. then
        lambda_hat /. (float_of_int t.cfg.workers *. mu_hat)
-     else 0.);
-  Registry.import_telemetry r t.tel
+     else 0.)
 
 let metrics_body t =
   refresh_registry t;
@@ -352,7 +338,7 @@ let dispatch t conn req =
            enqueue a phantom job. *)
         match Admission.try_reject t.admission with
         | Some retry_after_ms ->
-            Telemetry.incr t.tel "serve.rejected";
+            Registry.incr t.registry "serve.rejected_total";
             [
               Protocol.Rejected
                 { retry_after_ms; queue_depth = t.cfg.queue_depth };
@@ -368,7 +354,7 @@ let dispatch t conn req =
                 (* The spec never became durable, so the job must not be
                    acknowledged: an ack is a promise the job survives a
                    crash.  The id is burned, nothing else happened. *)
-                Telemetry.incr t.tel "serve.spec_write_errors";
+                Registry.incr t.registry "serve.spec_write_errors_total";
                 [
                   Protocol.Error_reply
                     {
@@ -380,7 +366,7 @@ let dispatch t conn req =
                 ]
             | () ->
             set_state t id Queued;
-            Telemetry.incr t.tel "serve.accepted";
+            Registry.incr t.registry "serve.accepted_total";
             push_event t { Protocol.ev = "accepted"; id; round = 0; detail = "" };
             match Admission.submit t.admission ~id ~spec with
             | `Accepted queue_depth -> [ Protocol.Accepted { id; queue_depth } ]
@@ -467,7 +453,7 @@ let dispatch t conn req =
         t.draining <- true;
         Admission.close t.admission;
         logf t "rbb serve: draining";
-        Telemetry.incr t.tel "serve.shutdown_requests"
+        Registry.incr t.registry "serve.shutdown_requests_total"
       end;
       [ Protocol.Ok_reply ]
 
@@ -518,13 +504,13 @@ let rec process t conn =
     | Protocol.Skip { consumed; discard; error } ->
         conn.inbuf <- drop_prefix conn.inbuf consumed;
         conn.discard <- discard;
-        Telemetry.incr t.tel "serve.frames_oversized";
+        Registry.incr t.registry "serve.frames_oversized_total";
         send conn
           (Protocol.Error_reply { code = error.code; message = error.message });
         process t conn
     | Protocol.Corrupt error ->
         conn.inbuf <- "";
-        Telemetry.incr t.tel "serve.frames_corrupt";
+        Registry.incr t.registry "serve.frames_corrupt_total";
         send conn
           (Protocol.Error_reply { code = error.code; message = error.message });
         conn.close_after_flush <- true
@@ -611,18 +597,18 @@ let run cfg =
       ("rbb_utilization", "Estimated rho = lambda / (c * mu).");
       ("rbb_jobs_rejected_total", "Jobs turned away by admission control.");
     ];
+  (* Present from the first scrape on, even while still zero. *)
+  Registry.add registry "rbb_quarantined_total" 0.;
+  Registry.add registry "rbb_jobs_deadlined_total" 0.;
   let t =
     {
       cfg;
       admission = Admission.create ~depth:cfg.queue_depth ~servers:cfg.workers ();
-      tel = Telemetry.create ();
       registry;
       lock = Mutex.create ();
       states = Hashtbl.create 64;
       events = Queue.create ();
       deadlines = Hashtbl.create 8;
-      quarantined = 0;
-      deadlined = 0;
       workers_live = cfg.workers;
       draining = false;
       next_id = 1;
@@ -636,8 +622,7 @@ let run cfg =
   let pending, next =
     Job.scan
       ~on_quarantine:(fun ~id ~reason ->
-        t.quarantined <- t.quarantined + 1;
-        Telemetry.incr t.tel "serve.quarantined";
+        Registry.incr t.registry "rbb_quarantined_total";
         set_state t id (Failed (0, reason));
         push_event t
           { Protocol.ev = "quarantined"; id; round = 0; detail = reason };
@@ -649,7 +634,7 @@ let run cfg =
     (fun (id, spec) ->
       set_state t id Queued;
       push_event t { Protocol.ev = "accepted"; id; round = 0; detail = "resumed" };
-      Telemetry.incr t.tel "serve.resumed";
+      Registry.incr t.registry "serve.resumed_total";
       Admission.resubmit t.admission ~id ~spec)
     pending;
   if pending <> [] then
@@ -776,11 +761,6 @@ let run cfg =
       close_out_noerr events_oc;
       (try write_prom ()
        with Sys_error _ | Unix.Unix_error _ | Failpoint.Injected _ -> ());
-      (match cfg.telemetry_path with
-      | Some path -> (
-          try Telemetry.write_json t.tel ~path
-          with Sys_error _ | Unix.Unix_error _ | Failpoint.Injected _ -> ())
-      | None -> ());
       Fileio.release_lock lock)
     (fun () ->
       loop ();

@@ -47,15 +47,18 @@
     measured arrival/service statistics ({!Admission.stats}) that
     [rbb slam] fits against the {!Rbb_queueing.Mmc} model.
 
-    The daemon also keeps a {!Rbb_obs.Registry}: per-job
+    The daemon counts into one {!Rbb_obs.Registry}: per-job
     wait/service/sojourn histograms labeled by outcome, queue/worker
-    gauges, estimated λ̂/μ̂/ρ̂ and lifetime counters.  The [metrics]
-    request returns the Prometheus text exposition, and the same bytes
-    are republished atomically to [metrics.prom] in the state directory
-    about once a second and at shutdown.  [reset-stats] zeroes the job
-    histograms together with {!Admission.reset_stats}, so a measurement
-    window scraped after a reset covers exactly the jobs the admission
-    samples do. *)
+    gauges, estimated λ̂/μ̂/ρ̂, and lifetime counters of every lifecycle
+    event ([serve_*_total], [rbb_quarantined_total],
+    [rbb_jobs_deadlined_total]) that [reset-stats] leaves alone.  The
+    [stats] reply's [deadlined] and [quarantined] read those counters.
+    The [metrics] request returns the Prometheus text exposition, and
+    the same bytes are republished atomically to [metrics.prom] in the
+    state directory about once a second and at shutdown.  [reset-stats]
+    zeroes the job histograms together with {!Admission.reset_stats},
+    so a measurement window scraped after a reset covers exactly the
+    jobs the admission samples do. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)
@@ -65,8 +68,6 @@ type config = {
   checkpoint_every : int;  (** rounds between checkpoint publications *)
   max_frame : int;  (** protocol frame payload limit, bytes *)
   log : out_channel option;  (** startup/shutdown lines; [None] silent *)
-  telemetry_path : string option;
-      (** write the daemon's telemetry JSON here at shutdown *)
   io_failpoints : Rbb_sim.Failpoint.t;
       (** I/O fault plane, armed process-wide
           ({!Rbb_sim.Fileio.set_failpoints}) once the daemon owns its
@@ -78,7 +79,7 @@ type config = {
 
 val default_config : socket:string -> state_dir:string -> config
 (** workers 1, queue depth 16, checkpoint every 256 rounds, default
-    frame limit, silent, no telemetry export, no injected faults. *)
+    frame limit, silent, no injected faults. *)
 
 val run : config -> unit
 (** Run until a [shutdown] request arrives, then drain: in-flight jobs

@@ -20,8 +20,9 @@ let escape s =
     s;
   Buffer.contents b
 
-(* Same deterministic float policy as Telemetry: integral values as
-   "x.0", finite values via %.12g, non-finite as null. *)
+(* Deterministic float rendering, shared with Telemetry's documents:
+   integral values as "x.0", finite values via %.12g (stable for a
+   given double), non-finite as null. *)
 let float_repr v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
   else if Float.is_finite v then Printf.sprintf "%.12g" v

@@ -173,29 +173,6 @@ let timers t =
 
 (* JSON rendering ----------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Deterministic float rendering: integral values as "x.0", finite
-   values via %.12g (enough digits for telemetry, stable for a given
-   double), non-finite as null. *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else if Float.is_finite v then Printf.sprintf "%.12g" v
-  else "null"
-
 let sorted_keys tbl =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
@@ -209,7 +186,7 @@ let render_section b ~name ~keys ~render_value =
         (fun i k ->
           if i > 0 then Buffer.add_string b ",\n";
           Buffer.add_string b
-            (Printf.sprintf "    \"%s\": %s" (json_escape k) (render_value k)))
+            (Printf.sprintf "    \"%s\": %s" (Jsonl.escape k) (render_value k)))
         keys;
       Buffer.add_string b "\n  }")
 
@@ -228,7 +205,8 @@ let to_json_string t =
           string_of_int !(Hashtbl.find s.counters k));
       Buffer.add_string b ",\n";
       render_section b ~name:"gauges" ~keys:(sorted_keys s.gauges)
-        ~render_value:(fun k -> json_float !(Hashtbl.find s.gauges k));
+        ~render_value:(fun k ->
+          Jsonl.float_repr !(Hashtbl.find s.gauges k));
       Buffer.add_string b ",\n";
       render_section b ~name:"timers" ~keys:(sorted_keys s.timers)
         ~render_value:(fun k ->
@@ -272,7 +250,7 @@ let counters_json t =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape k) v))
+      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (Jsonl.escape k) v))
     (counters t);
   Buffer.add_string b "},\"schema\":\"rbb.telemetry-counters/1\"}";
   Buffer.contents b

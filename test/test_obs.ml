@@ -1,8 +1,7 @@
 (* Tests for the observability layer: the labeled metrics registry
-   (counters, gauges, log-bucketed histograms, rolling-window quantiles
-   under an injected clock), the Prometheus text exporter and its
-   scrape-side parser, the engine probe bridge, the telemetry
-   re-export, and the pure parts of the `rbb top` dashboard. *)
+   (counters, gauges, log-bucketed histograms), the Prometheus text
+   exporter and its scrape-side parser, the engine probe bridge, the
+   telemetry re-export, and the pure parts of the `rbb top` dashboard. *)
 
 open Rbb_core
 module Registry = Rbb_obs.Registry
@@ -10,11 +9,6 @@ module Prometheus = Rbb_obs.Prometheus
 module Telemetry = Rbb_sim.Telemetry
 module Top = Rbb_serve.Top
 module Jsonl = Rbb_sim.Jsonl
-
-(* Injectable clock: starts at zero, advanced explicitly, nanoseconds. *)
-let manual_clock () =
-  let t = ref 0L in
-  ((fun () -> !t), fun s -> t := Int64.of_float (s *. 1e9))
 
 (* ------------------------------------------------------------------ *)
 (* Registry: counters, gauges, labels, kinds                           *)
@@ -103,32 +97,6 @@ let test_histogram_quantiles () =
   Tutil.check_raises_invalid "q out of range" (fun () ->
       ignore (Registry.quantile r "lat_seconds" 1.5))
 
-let test_window_quantiles () =
-  let clock, set_s = manual_clock () in
-  let r = Registry.create ~clock ~window_s:60. ~slices:6 () in
-  Registry.observe r "h" 1.0;
-  set_s 30.;
-  (match Registry.window_quantile r "h" 0.5 with
-  | None -> Alcotest.fail "inside the window"
-  | Some v -> Tutil.check_rel ~tol:0.05 "median in window" 1.0 v);
-  (* All-time survives; the window forgets once the slice holding the
-     observation rotates out (> 60 s later). *)
-  set_s 71.;
-  Alcotest.(check (option (float 1.)))
-    "window forgot" None
-    (Registry.window_quantile r "h" 0.5);
-  (match Registry.quantile r "h" 0.5 with
-  | None -> Alcotest.fail "all-time remembers"
-  | Some v -> Tutil.check_rel ~tol:0.05 "all-time median" 1.0 v);
-  (* A fresh observation after a gap longer than the whole window
-     starts a clean window. *)
-  set_s 200.;
-  Registry.observe r "h" 2.0;
-  (match Registry.window_quantile r "h" 0.5 with
-  | None -> Alcotest.fail "new window"
-  | Some v -> Tutil.check_rel ~tol:0.05 "median after the gap" 2.0 v);
-  Alcotest.(check int) "all-time count" 2 (Registry.hist_count r "h")
-
 let test_reset_histograms () =
   let r = Registry.create () in
   Registry.incr r "kept_total";
@@ -136,8 +104,6 @@ let test_reset_histograms () =
   Registry.observe r "h" 0.5;
   Registry.reset_histograms r;
   Alcotest.(check int) "histogram zeroed" 0 (Registry.hist_count r "h");
-  Alcotest.(check (option (float 1.))) "window zeroed" None
-    (Registry.window_quantile r "h" 0.5);
   Alcotest.(check (float 1e-9)) "counter kept" 1.
     (Registry.counter_value r "kept_total");
   Alcotest.(check (option (float 1e-9))) "gauge kept" (Some 4.)
@@ -492,7 +458,6 @@ let suite =
         Tutil.quick "kind conflicts raise" test_kind_conflicts;
         Tutil.quick "noop registry is inert" test_noop_registry;
         Tutil.quick "histogram quantile accuracy" test_histogram_quantiles;
-        Tutil.quick "window quantiles rotate" test_window_quantiles;
         Tutil.quick "reset zeroes histograms only" test_reset_histograms;
         Tutil.quick "merge histogram" test_merge_histogram;
       ] );

@@ -327,6 +327,29 @@ let test_admission_measurements () =
   Alcotest.(check int) "reset arrivals" 0 st.Admission.arrivals;
   Alcotest.(check int) "reset samples" 0 (Array.length st.Admission.wait_ns)
 
+let test_admission_retry_hint () =
+  (* Manual clock, ns.  Services of 3 ms (ok) and 1 ms (failed) give a
+     2 ms mean; one queued job plus the rejected one is a backlog of 2
+     on 2 servers. *)
+  let now = ref 0L in
+  let q = Admission.create ~clock:(fun () -> !now) ~depth:1 ~servers:2 () in
+  let serve ~id ~ms =
+    ignore (Admission.submit q ~id ~spec:(spec ()));
+    let e = Option.get (Admission.pop q) in
+    Admission.note_started q e;
+    now := Int64.add !now (Int64.of_int (ms * 1_000_000));
+    Admission.note_done q e ~ok:(id = "a")
+  in
+  serve ~id:"a" ~ms:3;
+  serve ~id:"b" ~ms:1;
+  ignore (Admission.submit q ~id:"c" ~spec:(spec ()));
+  Alcotest.(check (option int)) "mean service x backlog / servers" (Some 2)
+    (Admission.try_reject q);
+  (* reset_stats forgets the services: back to the 100 ms default. *)
+  Admission.reset_stats q;
+  Alcotest.(check (option int)) "default after reset" (Some 100)
+    (Admission.try_reject q)
+
 let test_admission_resubmit_unbounded () =
   let q = Admission.create ~clock:(fake_clock 1000L) ~depth:1 ~servers:1 () in
   let s = spec () in
@@ -877,6 +900,50 @@ let test_daemon_failed_job_is_durable () =
       Client.close c;
       Domain.join daemon)
 
+let test_daemon_deadline () =
+  with_temp_dir "rbb_e2e_deadline" (fun dir ->
+      let socket = Filename.concat dir "d.sock" in
+      let state_dir = Filename.concat dir "state" in
+      let cfg = Daemon.default_config ~socket ~state_dir in
+      let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+      let c = Client.connect ~socket () in
+      let sub = Client.connect ~socket () in
+      Client.subscribe sub ();
+      (* Far more rounds than 0.05 s allows: only the watchdog ends it. *)
+      let s = spec ~n:4096 ~rounds:10_000_000 ~deadline_s:0.05 () in
+      let id =
+        match Client.submit c s with
+        | `Accepted id -> id
+        | `Rejected _ -> Alcotest.fail "idle daemon must accept"
+      in
+      let rec failed () =
+        let ev = Client.next_event sub in
+        if ev.Protocol.ev = "failed" && ev.Protocol.id = id then ev
+        else failed ()
+      in
+      let ev = failed () in
+      Alcotest.(check bool) "detail names the deadline" true
+        (Tutil.contains_substring ev.Protocol.detail
+           "deadline of 0.05s exceeded");
+      (match Client.request c (Protocol.Status id) with
+      | Protocol.Job_status { state; _ } ->
+          Alcotest.(check string) "status" "failed" state
+      | _ -> Alcotest.fail "expected job status");
+      Alcotest.(check (option int)) "stats count the deadline" (Some 1)
+        (Jsonl.find_int (Client.stats c) "deadlined");
+      let exposition = Client.metrics c in
+      Alcotest.(check (option (float 0.))) "deadlined counter" (Some 1.)
+        (Rbb_obs.Prometheus.sample_value exposition "rbb_jobs_deadlined_total");
+      Alcotest.(check (option (float 0.))) "sojourn observed as deadline"
+        (Some 1.)
+        (Rbb_obs.Prometheus.sample_value
+           ~labels:[ ("outcome", "deadline") ]
+           exposition "rbb_job_sojourn_seconds_count");
+      Client.shutdown c;
+      Client.close c;
+      Client.close sub;
+      Domain.join daemon)
+
 let test_daemon_rejects_second_instance () =
   with_temp_dir "rbb_e2e_lock" (fun dir ->
       let socket = Filename.concat dir "d.sock" in
@@ -925,6 +992,7 @@ let suite =
         Tutil.quick "bounded fifo with rejection" test_admission_bounds;
         Tutil.quick "atomic reject decision" test_admission_try_reject;
         Tutil.quick "measurement plane" test_admission_measurements;
+        Tutil.quick "retry hint arithmetic" test_admission_retry_hint;
         Tutil.quick "resubmit bypasses the bound" test_admission_resubmit_unbounded;
       ] );
     ( "serve.job",
@@ -953,6 +1021,7 @@ let suite =
       [
         Tutil.quick "end to end" test_daemon_end_to_end;
         Tutil.quick "failed jobs stay failed" test_daemon_failed_job_is_durable;
+        Tutil.quick "deadlines fail and are counted" test_daemon_deadline;
         Tutil.quick "state dir is exclusive" test_daemon_rejects_second_instance;
       ] );
   ]
