@@ -165,12 +165,22 @@ cmp -s "$servedir/resumed.txt" "$servedir/solid.txt" \
 
 # Observability smoke: one job through a fresh daemon, then scrape the
 # Prometheus exposition over the socket and check the published
-# metrics.prom parses and the job sojourn histogram counted the job.
+# metrics.prom parses, the job sojourn histogram counted the job, and
+# the stats reply's sojourn mean is the scraped sum over the count.
 "$rbb" serve --socket "$tracedir/m.sock" --state-dir "$servedir/m" > /dev/null 2>&1 &
 pid=$!
 sleep 0.2
 "$rbb" submit --socket "$tracedir/m.sock" --bins 64 --rounds 500 --seed 9 \
   --wait > /dev/null
+# The result file can be visible before the worker's accounting (see
+# the settle loop in Slam.run), and the job is counted just before its
+# latencies are recorded: poll until the stats reply shows both.
+for _ in $(seq 1 100); do
+  "$rbb" submit --socket "$tracedir/m.sock" --stats > "$servedir/mstats.json"
+  grep -q '"completed":1[,}]' "$servedir/mstats.json" \
+    && grep -q '"sojourn_mean_s"' "$servedir/mstats.json" && break
+  sleep 0.05
+done
 "$rbb" submit --socket "$tracedir/m.sock" --metrics > "$servedir/scrape.txt"
 "$rbb" submit --socket "$tracedir/m.sock" --shutdown > /dev/null
 wait "$pid"
@@ -188,6 +198,17 @@ sojourns=$(grep -o 'rbb_job_sojourn_seconds_count{outcome="ok"} [0-9]*' \
   "$servedir/m/metrics.prom" | grep -o '[0-9]*$')
 [ -n "$sojourns" ] && [ "$sojourns" -ge 1 ] \
   || { echo "check.sh: job sojourn histogram counted ${sojourns:-nothing}"; exit 1; }
+mean_s=$(grep -o '"sojourn_mean_s":[^,}]*' "$servedir/mstats.json" \
+  | cut -d: -f2 || true)
+sum_s=$(grep -o '^rbb_job_sojourn_seconds_sum{outcome="ok"} .*' \
+  "$servedir/scrape.txt" | cut -d' ' -f2 || true)
+count=$(grep -o '^rbb_job_sojourn_seconds_count{outcome="ok"} .*' \
+  "$servedir/scrape.txt" | cut -d' ' -f2 || true)
+awk -v m="${mean_s:-x}" -v s="${sum_s:-x}" -v c="${count:-0}" 'BEGIN {
+  if (m == "x" || s == "x" || c + 0 < 1) exit 1
+  d = m - s / c; if (d < 0) d = -d
+  exit !(d <= 1e-6 * s / c) }' \
+  || { echo "check.sh: stats sojourn_mean_s ${mean_s:-missing} != scraped sum/count ${sum_s:-missing}/${count:-missing}"; exit 1; }
 
 # Chaos smoke, directed half: SIGKILL a daemon mid-job, corrupt the
 # surviving checkpoint in place, and restart with a probabilistic fsync

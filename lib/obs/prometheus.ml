@@ -203,29 +203,43 @@ let labels_match ~want have =
     want
 
 (* Reassemble one histogram's cumulative buckets from a scraped body:
-   every `<name>_bucket{...,le="..."}` line whose other labels match. *)
+   the `<name>_bucket{...,le="..."}` lines of every series whose other
+   labels match, summed bucket-wise when several do (cumulative counts
+   of different series must not interleave). *)
 let parse_histogram ?(labels = []) body name =
   let bucket_metric = sanitize_name name ^ "_bucket" in
-  let buckets = ref [] in
+  let series = Hashtbl.create 4 in
   List.iter
     (fun line ->
       match parse_sample line with
       | Some (m, ls, v) when m = bucket_metric -> (
+          let rest = List.remove_assoc "le" ls in
           match List.assoc_opt "le" ls with
-          | Some le_str
-            when labels_match ~want:labels
-                   (List.remove_assoc "le" ls) -> (
+          | Some le_str when labels_match ~want:labels rest -> (
               let le =
                 if le_str = "+Inf" then Some Float.infinity
                 else float_of_string_opt le_str
               in
               match le with
-              | Some le -> buckets := (le, int_of_float v) :: !buckets
+              | Some le ->
+                  let prev =
+                    Option.value ~default:[] (Hashtbl.find_opt series rest)
+                  in
+                  Hashtbl.replace series rest ((le, int_of_float v) :: prev)
               | None -> ())
           | _ -> ())
       | _ -> ())
     (String.split_on_char '\n' body);
-  List.sort (fun (a, _) (b, _) -> Float.compare a b) !buckets
+  let histogram buckets =
+    let buckets = List.sort (fun (a, _) (b, _) -> Float.compare a b) buckets in
+    { Registry.buckets; sum = 0.; count = 0 }
+  in
+  let merged =
+    Hashtbl.fold
+      (fun _ buckets acc -> Registry.merge_histogram acc (histogram buckets))
+      series (histogram [])
+  in
+  merged.Registry.buckets
 
 let sample_value ?(labels = []) body name =
   let metric = sanitize_name name in
@@ -237,19 +251,7 @@ let sample_value ?(labels = []) body name =
       | _ -> None)
     (String.split_on_char '\n' body)
 
+(* The parsed list ends with the (+Inf, count) bucket the renderer
+   always writes: the same list Registry.histogram_quantile reads. *)
 let scraped_quantile ?labels body name q =
-  match parse_histogram ?labels body name with
-  | [] -> None
-  | buckets ->
-      (* Drop the +Inf bucket: quantile_of_buckets treats the last
-         finite bound as the ceiling, matching the renderer's pairing
-         of each populated bucket with its predecessor. *)
-      let finite = List.filter (fun (le, _) -> Float.is_finite le) buckets in
-      let total =
-        match List.rev buckets with (_, c) :: _ -> c | [] -> 0
-      in
-      if total = 0 then None
-      else
-        Registry.quantile_of_buckets
-          (finite @ [ (Float.infinity, total) ])
-          q
+  Registry.quantile_of_buckets (parse_histogram ?labels body name) q

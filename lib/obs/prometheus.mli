@@ -39,9 +39,10 @@ val write_file : Registry.t -> path:string -> unit
 val parse_histogram :
   ?labels:(string * string) list -> string -> string -> (float * int) list
 (** [parse_histogram ?labels body name]: the cumulative
-    [(le, count)] buckets of [name]'s histogram whose labels include
-    [labels], sorted by [le] (the [+Inf] bucket last).  [[]] when
-    absent. *)
+    [(le, count)] buckets of [name]'s histogram series whose labels
+    include [labels], summed bucket-wise over those series
+    ({!Registry.merge_histogram}) and sorted by [le] (the [+Inf] bucket
+    last).  [[]] when absent. *)
 
 val sample_value :
   ?labels:(string * string) list -> string -> string -> float option

@@ -215,38 +215,6 @@ let hist_sum t ?labels name =
     | Hist h -> h.sum
     | Counter _ | Gauge _ -> 0.)
 
-(* Quantile over raw per-bucket counts, interpolating linearly inside
-   the winning bucket (bucket 0 and the overflow bucket report their
-   finite edge).  Mirrors Rbb_stats.Float_hist.quantile. *)
-let quantile_of_counts counts total q =
-  if not (q >= 0. && q <= 1.) then
-    invalid_arg "Registry.quantile: q not in [0,1]";
-  if total = 0 then None
-  else begin
-    let target = q *. float_of_int total in
-    let rec scan i acc =
-      if i >= nbuckets then Some (bound_of_bucket (nbuckets - 2))
-      else
-        let acc' = acc + counts.(i) in
-        if float_of_int acc' >= target && counts.(i) > 0 then
-          if i = 0 then Some (bound_of_bucket 0)
-          else if i = nbuckets - 1 then Some (bound_of_bucket (nbuckets - 2))
-          else
-            let lo = bound_of_bucket (i - 1) and hi = bound_of_bucket i in
-            let within =
-              (target -. float_of_int acc) /. float_of_int counts.(i)
-            in
-            Some (lo +. (within *. (hi -. lo)))
-        else scan (i + 1) acc'
-    in
-    scan 0 0
-  end
-
-let quantile t ?labels name q =
-  with_series t ?labels name ~default:None (function
-    | Hist h -> quantile_of_counts h.counts h.total q
-    | Counter _ | Gauge _ -> None)
-
 let reset_histograms t =
   match t with
   | Noop -> ()
@@ -391,6 +359,44 @@ let quantile_of_buckets buckets q =
             else scan le cum rest
       in
       scan 0. 0 buckets
+
+(* In-process quantiles read the published buckets closed by
+   (+Inf, count), exactly as Prometheus.scraped_quantile does, so a
+   reader and a scraper of the same buckets agree. *)
+let histogram_quantile h q =
+  quantile_of_buckets (h.buckets @ [ (Float.infinity, h.count) ]) q
+
+let quantile t ?labels name q =
+  (* Checked before with_series takes the lock: nothing may raise
+     while it is held. *)
+  if not (q >= 0. && q <= 1.) then
+    invalid_arg "Registry.quantile: q not in [0,1]";
+  Option.bind
+    (with_series t ?labels name ~default:None (function
+      | Hist h -> Some (hist_snapshot h)
+      | Counter _ | Gauge _ -> None))
+    (fun h -> histogram_quantile h q)
+
+(* Every series of a family summed bucket-wise: the shared geometry
+   makes the merge an addition of count arrays. *)
+let family_histogram t name =
+  match t with
+  | Noop -> None
+  | Active s ->
+      let m = { counts = Array.make nbuckets 0; total = 0; sum = 0. } in
+      Mutex.lock s.lock;
+      Hashtbl.iter
+        (fun (n, _) sr ->
+          match sr with
+          | Hist h when String.equal n name ->
+              Array.iteri (fun i c -> m.counts.(i) <- m.counts.(i) + c)
+                h.counts;
+              m.total <- m.total + h.total;
+              m.sum <- m.sum +. h.sum
+          | Counter _ | Gauge _ | Hist _ -> ())
+        s.series;
+      Mutex.unlock s.lock;
+      if m.total = 0 then None else Some (hist_snapshot m)
 
 (* Bridge to the engines --------------------------------------------- *)
 

@@ -69,8 +69,9 @@ val hist_count : t -> ?labels:labels -> string -> int
 val hist_sum : t -> ?labels:labels -> string -> float
 
 val quantile : t -> ?labels:labels -> string -> float -> float option
-(** Quantile [q] in [0,1], interpolated within the winning bucket;
-    [None] when the histogram is absent or empty. *)
+(** Quantile [q] in [0,1] of one series, read as {!histogram_quantile}
+    of its snapshot; [None] when the histogram is absent or empty.
+    @raise Invalid_argument when [q] is outside [0,1]. *)
 
 val reset_histograms : t -> unit
 (** Zero every histogram, leaving counters and gauges untouched.  The
@@ -110,6 +111,15 @@ val quantile_of_buckets : (float * int) list -> float -> float option
 (** Quantile from a published cumulative bucket list (what a scraper
     has), interpolating between consecutive published bounds — the
     client-side [histogram_quantile].  [None] on an empty histogram. *)
+
+val histogram_quantile : histogram -> float -> float option
+(** {!quantile_of_buckets} over [buckets] closed by [(+Inf, count)],
+    the list a scraper parses from the exposition. *)
+
+val family_histogram : t -> string -> histogram option
+(** Every series of the histogram family [name] summed bucket-wise,
+    whatever its labels; [None] when the family holds no observation
+    (absent, or zeroed by {!reset_histograms}). *)
 
 (** {2 Bridges} *)
 

@@ -1,4 +1,4 @@
-(* Bounded FIFO + measurement plane.  One mutex/condition pair guards
+(* Bounded FIFO with O(1) counters.  One mutex/condition pair guards
    everything: submits and stats reads come from the daemon's event
    loop, pops and completion notes from worker domains. *)
 
@@ -25,10 +25,7 @@ type t = {
   mutable failed : int;
   mutable first_arrival : int64;
   mutable last_arrival : int64;
-  mutable wait_ns : float list;
-  mutable service_ns : float list;
-  mutable service_sum_ns : float;  (* sum of [service_ns] *)
-  mutable sojourn_ns : float list;
+  mutable service_sum_ns : float;  (* over completed + failed jobs *)
 }
 
 let create ?(clock = Monotonic_clock.now) ~depth ~servers () =
@@ -50,10 +47,7 @@ let create ?(clock = Monotonic_clock.now) ~depth ~servers () =
     failed = 0;
     first_arrival = 0L;
     last_arrival = 0L;
-    wait_ns = [];
-    service_ns = [];
     service_sum_ns = 0.;
-    sojourn_ns = [];
   }
 
 let locked t f =
@@ -67,8 +61,8 @@ let note_arrival t now =
 
 (* Backoff hint: expected backlog drain time, from the mean measured
    service time (100 ms per queued job before any measurement exists).
-   Every finished job left one service sample, so the mean is the
-   running sum over [completed + failed]: O(1) under the lock. *)
+   The mean is the running sum over [completed + failed]: O(1) under
+   the lock. *)
 let retry_after_ms t =
   let finished = t.completed + t.failed in
   let per_job_ms =
@@ -80,9 +74,6 @@ let retry_after_ms t =
     (int_of_float
        (Float.round (per_job_ms *. float_of_int backlog
                      /. float_of_int t.servers)))
-
-let accepting t =
-  locked t (fun () -> (not t.closed) && Queue.length t.queue < t.depth)
 
 let try_reject t =
   locked t (fun () ->
@@ -133,21 +124,15 @@ let close t =
 let note_started t entry =
   locked t (fun () ->
       entry.t_start <- t.clock ();
-      t.started <- t.started + 1;
-      t.wait_ns <-
-        Int64.to_float (Int64.sub entry.t_start entry.t_submit) :: t.wait_ns)
+      t.started <- t.started + 1)
 
 let note_done t entry ~ok =
   locked t (fun () ->
       let now = t.clock () in
       if ok then t.completed <- t.completed + 1 else t.failed <- t.failed + 1;
-      let service = Int64.to_float (Int64.sub now entry.t_start) in
-      t.service_ns <- service :: t.service_ns;
-      t.service_sum_ns <- t.service_sum_ns +. service;
-      t.sojourn_ns <-
-        Int64.to_float (Int64.sub now entry.t_submit) :: t.sojourn_ns)
-
-let queue_length t = locked t (fun () -> Queue.length t.queue)
+      t.service_sum_ns <-
+        t.service_sum_ns +. Int64.to_float (Int64.sub now entry.t_start);
+      now)
 
 type stats = {
   arrivals : int;
@@ -158,9 +143,6 @@ type stats = {
   queue_len : int;
   first_arrival : int64;
   last_arrival : int64;
-  wait_ns : float array;
-  service_ns : float array;
-  sojourn_ns : float array;
 }
 
 let stats t =
@@ -174,9 +156,6 @@ let stats t =
         queue_len = Queue.length t.queue;
         first_arrival = t.first_arrival;
         last_arrival = t.last_arrival;
-        wait_ns = Array.of_list (List.rev t.wait_ns);
-        service_ns = Array.of_list (List.rev t.service_ns);
-        sojourn_ns = Array.of_list (List.rev t.sojourn_ns);
       })
 
 let reset_stats t =
@@ -188,7 +167,4 @@ let reset_stats t =
       t.failed <- 0;
       t.first_arrival <- 0L;
       t.last_arrival <- 0L;
-      t.wait_ns <- [];
-      t.service_ns <- [];
-      t.service_sum_ns <- 0.;
-      t.sojourn_ns <- [])
+      t.service_sum_ns <- 0.)

@@ -1,5 +1,5 @@
-(** Bounded admission queue with explicit rejection, plus the measured
-    arrival/service statistics the M/M/c validation feeds on.
+(** Bounded admission queue with explicit rejection, plus the counters
+    and arrival window the M/M/c validation feeds on.
 
     The daemon's load shedding happens here: a submit lands in a FIFO
     queue of bounded depth or is {e rejected} with a retry-after hint —
@@ -9,13 +9,12 @@
     entries still queued stay on disk as job spec files and are resumed
     by the next daemon).
 
-    Every accepted entry is timestamped at submit, start and
-    completion, so the queue doubles as the measurement plane: waiting
-    time (submit→start), service time (start→done) and sojourn time
-    (submit→done) per job, plus the arrival window — exactly the
-    [lambda] and [mu] estimates an M/M/c fit needs
-    ({!Rbb_queueing.Mmc}).  All operations are safe to call from any
-    domain. *)
+    Entries are stamped at submit and start, and {!note_done} returns
+    the completion time from the same clock: one set of stamps gives a
+    job's wait, service and sojourn.  The queue keeps no per-job
+    samples, so its state is O(1) in the jobs served; the daemon's
+    metrics registry is the one store of job latencies.  All operations
+    are safe to call from any domain. *)
 
 type t
 
@@ -33,20 +32,13 @@ val create : ?clock:(unit -> int64) -> depth:int -> servers:int -> unit -> t
     deterministic tests.
     @raise Invalid_argument if [depth < 1] or [servers < 1]. *)
 
-val accepting : t -> bool
-(** Whether a {!submit} issued now would be accepted.  Sound as a
-    pre-check only from the single submitting thread (the daemon's
-    event loop): concurrent pops can only shrink the queue, so a [true]
-    cannot turn into a rejection before that thread's {!submit}. *)
-
 val try_reject : t -> int option
 (** The submitting thread's load-shedding decision, made atomically:
     when the queue is full (or closed), count a rejection and return
     [Some retry_after_ms] under a single lock acquisition; return
     [None] when a {!submit} issued now by that thread would be
-    accepted.  This is the safe way to reject — re-checking fullness
-    and counting happen together, so a worker popping between a
-    caller's {!accepting} probe and its decision can never turn a
+    accepted.  Re-checking fullness and counting happen together, so a
+    worker popping between a probe and the decision can never turn a
     planned rejection into an unintended enqueue.  After [None],
     concurrent pops can only shrink the queue further, so the
     follow-up {!submit} from the same (sole submitting) thread is
@@ -78,12 +70,12 @@ val close : t -> unit
     Idempotent. *)
 
 val note_started : t -> entry -> unit
-(** Stamp the entry's start time (records its waiting-time sample). *)
+(** Stamp the entry's start time and count the start. *)
 
-val note_done : t -> entry -> ok:bool -> unit
-(** Record service and sojourn samples for a finished job. *)
-
-val queue_length : t -> int
+val note_done : t -> entry -> ok:bool -> int64
+(** Count a finished job (as completed when [ok], else as failed), add
+    its service time to the running sum behind the retry-after hint,
+    and return the completion time, ns on the queue clock. *)
 
 (** {2 Measured statistics} *)
 
@@ -96,14 +88,12 @@ type stats = {
   queue_len : int;
   first_arrival : int64;  (** ns; 0 when no arrivals *)
   last_arrival : int64;
-  wait_ns : float array;  (** one sample per started job *)
-  service_ns : float array;  (** one sample per finished job *)
-  sojourn_ns : float array;  (** one sample per finished job *)
 }
 
 val stats : t -> stats
-(** Snapshot of all measurements so far. *)
+(** Snapshot of the counters and the arrival window. *)
 
 val reset_stats : t -> unit
-(** Drop accumulated samples and counters (queued entries are kept):
-    lets a load harness measure a clean window after warming up. *)
+(** Zero the counters, the arrival window and the service sum (queued
+    entries are kept): lets a load harness measure a clean window after
+    warming up. *)

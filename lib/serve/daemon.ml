@@ -99,13 +99,15 @@ let logf t fmt =
 
 (* Workers ------------------------------------------------------------- *)
 
-(* Per-job latency histograms, labeled by outcome.  These are the
-   scrapable counterpart of Admission's raw sample arrays: slam's
-   measured quantiles and the scraped ones must agree because both see
-   the same entry timestamps (modulo the nanoseconds between
-   note_done's clock read and ours). *)
-let observe_job t entry ~outcome =
-  let now = Monotonic_clock.now () in
+(* Count a finished job and record its latencies.  The registry's
+   per-job histograms, labeled by outcome, are the one store of job
+   latencies: the stats reply and the exposition both read them, so
+   they cannot disagree.  Every duration comes from Admission's stamps,
+   the completion time included.  A stats reply that lands between
+   note_done and the observations counts the job before its latencies
+   show; the done and failed events are pushed after both. *)
+let observe_job t entry ~ok ~outcome =
+  let now = Admission.note_done t.admission entry ~ok in
   let sec a b = Int64.to_float (Int64.sub a b) /. 1e9 in
   let labels = [ ("outcome", outcome) ] in
   Registry.observe t.registry ~labels "rbb_job_wait_seconds"
@@ -139,8 +141,7 @@ let disarm_deadline t ~id = with_lock t (fun () -> Hashtbl.remove t.deadlines id
 
 let fail_job t entry ~round ~detail ~outcome =
   let id = entry.Admission.id in
-  Admission.note_done t.admission entry ~ok:false;
-  observe_job t entry ~outcome;
+  observe_job t entry ~ok:false ~outcome;
   Registry.incr t.registry "serve.failed_total";
   (* Durable failure record: without it, scan would resubmit the job on
      every restart and it would re-fail forever. *)
@@ -184,8 +185,7 @@ let worker_loop t _w =
          with
         | (_ : (string * Jsonl.value) list) ->
             disarm_deadline t ~id;
-            Admission.note_done t.admission entry ~ok:true;
-            observe_job t entry ~outcome:"ok";
+            observe_job t entry ~ok:true ~outcome:"ok";
             Registry.incr t.registry "serve.completed_total";
             let rounds = entry.Admission.spec.Protocol.rounds in
             set_state t id (Finished rounds);
@@ -207,18 +207,23 @@ let worker_loop t _w =
 
 (* Stats --------------------------------------------------------------- *)
 
-let mean arr = Array.fold_left ( +. ) 0. arr /. float_of_int (Array.length arr)
-
-let sample_fields name arr =
-  if Array.length arr = 0 then []
-  else
-    let q = Rbb_stats.Quantile.quantile in
-    let sec ns = ns /. 1e9 in
-    [
-      (name ^ "_mean_s", Jsonl.Float (sec (mean arr)));
-      (name ^ "_p50_s", Jsonl.Float (sec (q arr 0.5)));
-      (name ^ "_p99_s", Jsonl.Float (sec (q arr 0.99)));
-    ]
+(* One job histogram merged over outcomes, read once per reply: mean,
+   p50 and p99 from the buckets a scraper sees.  Absent until a job
+   finishes, and again after reset-stats. *)
+let latency_fields t name =
+  match
+    Registry.family_histogram t.registry ("rbb_job_" ^ name ^ "_seconds")
+  with
+  | None -> []
+  | Some h ->
+      let q p =
+        Jsonl.Float (Option.get (Registry.histogram_quantile h p))
+      in
+      [
+        (name ^ "_mean_s", Jsonl.Float (h.sum /. float_of_int h.count));
+        (name ^ "_p50_s", q 0.5);
+        (name ^ "_p99_s", q 0.99);
+      ]
 
 (* The arrival window in seconds and the estimated arrival rate λ̂ over
    it, once two arrivals span a positive window. *)
@@ -259,9 +264,9 @@ let stats_fields t =
     ("io_faults_injected", Jsonl.Int (Fileio.injected_faults ()));
   ]
   @ rate_fields
-  @ sample_fields "wait" s.Admission.wait_ns
-  @ sample_fields "service" s.Admission.service_ns
-  @ sample_fields "sojourn" s.Admission.sojourn_ns
+  @ latency_fields t "wait"
+  @ latency_fields t "service"
+  @ latency_fields t "sojourn"
 
 (* Bring the registry's gauges and Admission-derived counters up to
    date before every exposition.  Everything here is set-semantics, so
@@ -292,9 +297,9 @@ let refresh_registry t =
   in
   Registry.set_gauge r "rbb_lambda_hat_per_s" lambda_hat;
   let mu_hat =
-    if Array.length s.Admission.service_ns > 0 then
-      1e9 /. mean s.Admission.service_ns
-    else 0.
+    match Registry.family_histogram r "rbb_job_service_seconds" with
+    | Some h when h.sum > 0. -> float_of_int h.count /. h.sum
+    | Some _ | None -> 0.
   in
   Registry.set_gauge r "rbb_mu_hat_per_s" mu_hat;
   Registry.set_gauge r "rbb_utilization"
@@ -333,7 +338,7 @@ let dispatch t conn req =
         ]
       else begin
         (* The full-queue decision is one atomic re-check-and-count:
-           workers pop concurrently, so a separate accepting() probe
+           workers pop concurrently, so a separate fullness probe
            followed by a counting submit could land in a freed slot and
            enqueue a phantom job. *)
         match Admission.try_reject t.admission with
@@ -443,9 +448,9 @@ let dispatch t conn req =
   | Metrics -> [ Protocol.Metrics_reply { body = metrics_body t } ]
   | Reset_stats ->
       Admission.reset_stats t.admission;
-      (* Job histograms must cover the same window as Admission's
-         sample arrays, or a slam run's scraped quantiles would mix in
-         settle-phase jobs that slam excluded from its own samples. *)
+      (* The job histograms are the stats reply's latencies: they must
+         cover the same window as Admission's counters, or a slam run
+         would mix settle-phase jobs into its measured quantiles. *)
       Registry.reset_histograms t.registry;
       [ Protocol.Ok_reply ]
   | Shutdown ->

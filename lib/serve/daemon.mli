@@ -43,22 +43,27 @@
     started / checkpoint / done / failed) is appended to
     [events.ndjson] in the state directory (flushed per line, so
     {!Rbb_sim.Jsonl.tail} can follow it live) and streamed as [event]
-    frames to connected subscribers.  The [stats] request returns the
-    measured arrival/service statistics ({!Admission.stats}) that
-    [rbb slam] fits against the {!Rbb_queueing.Mmc} model.
+    frames to connected subscribers.
 
     The daemon counts into one {!Rbb_obs.Registry}: per-job
     wait/service/sojourn histograms labeled by outcome, queue/worker
     gauges, estimated λ̂/μ̂/ρ̂, and lifetime counters of every lifecycle
     event ([serve_*_total], [rbb_quarantined_total],
     [rbb_jobs_deadlined_total]) that [reset-stats] leaves alone.  The
-    [stats] reply's [deadlined] and [quarantined] read those counters.
-    The [metrics] request returns the Prometheus text exposition, and
-    the same bytes are republished atomically to [metrics.prom] in the
-    state directory about once a second and at shutdown.  [reset-stats]
-    zeroes the job histograms together with {!Admission.reset_stats},
-    so a measurement window scraped after a reset covers exactly the
-    jobs the admission samples do. *)
+    job histograms are the one store of job latencies.  The [metrics]
+    request returns the Prometheus text exposition, and the same bytes
+    are republished atomically to [metrics.prom] in the state directory
+    about once a second and at shutdown.
+
+    The [stats] request returns {!Admission.stats}'s counters and
+    arrival window, [deadlined] and [quarantined] from the registry's
+    counters, and, once a job has finished, the mean, p50 and p99 of
+    wait, service and sojourn read from the job histograms merged over
+    outcomes — so a stats reply equals what a scraper computes from the
+    exposition, up to its rendering of bucket bounds.  [rbb slam] fits
+    these against the {!Rbb_queueing.Mmc} model.  [reset-stats] zeroes
+    the job histograms together with {!Admission.reset_stats}, so the
+    stats reply and a scrape after a reset cover the same window. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)

@@ -95,7 +95,13 @@ let test_histogram_quantiles () =
       | Some v -> Tutil.check_rel ~tol:0.05 (Printf.sprintf "p%.0f" (q *. 100.)) q v)
     [ 0.25; 0.5; 0.9; 0.99 ];
   Tutil.check_raises_invalid "q out of range" (fun () ->
-      ignore (Registry.quantile r "lat_seconds" 1.5))
+      ignore (Registry.quantile r "lat_seconds" 1.5));
+  (* The rejected call must not have kept the registry lock. *)
+  Registry.incr r "after_total";
+  Alcotest.(check (float 1e-9)) "still counts" 1.
+    (Registry.counter_value r "after_total");
+  Alcotest.(check bool) "still snapshots" true
+    (List.mem_assoc "after_total" (Registry.snapshot r).Registry.families)
 
 let test_reset_histograms () =
   let r = Registry.create () in
@@ -230,7 +236,33 @@ let test_scrape_roundtrip () =
           Tutil.check_rel ~tol:0.05 "scraped vs direct" direct scraped;
           Tutil.check_rel ~tol:0.1 "scraped vs exact" (5. *. q) scraped
       | _ -> Alcotest.fail "quantiles must exist")
-    [ 0.5; 0.95; 0.99 ]
+    [ 0.5; 0.95; 0.99 ];
+  (* Without labels the two series are summed bucket-wise, not
+     interleaved: the list stays cumulative and its quantiles are the
+     registry's merged read. *)
+  let all = Prometheus.parse_histogram body "rbb_job_sojourn_seconds" in
+  ignore
+    (List.fold_left
+       (fun prev (_, c) ->
+         Alcotest.(check bool) "unlabeled cumulative-monotone" true (prev <= c);
+         c)
+       0 all);
+  Alcotest.(check (option int)) "unlabeled total" (Some 501)
+    (Option.map snd (List.nth_opt all (List.length all - 1)));
+  let merged =
+    Option.get (Registry.family_histogram r "rbb_job_sojourn_seconds")
+  in
+  List.iter
+    (fun q ->
+      match
+        ( Prometheus.scraped_quantile body "rbb_job_sojourn_seconds" q,
+          Registry.histogram_quantile merged q )
+      with
+      | Some scraped, Some direct ->
+          Tutil.check_rel ~tol:1e-6 "unlabeled scrape vs merged read" direct
+            scraped
+      | _ -> Alcotest.fail "merged quantiles must exist")
+    [ 0.5; 0.75; 0.95; 0.99; 1. ]
 
 (* ------------------------------------------------------------------ *)
 (* The engine probe bridge and the telemetry re-export                 *)

@@ -251,18 +251,18 @@ let fake_clock step =
 let test_admission_bounds () =
   let q = Admission.create ~clock:(fake_clock 1000L) ~depth:2 ~servers:1 () in
   let s = spec () in
-  Alcotest.(check bool) "accepting" true (Admission.accepting q);
+  Alcotest.(check (option int)) "room" None (Admission.try_reject q);
   (match Admission.submit q ~id:"a" ~spec:s with
   | `Accepted 1 -> ()
   | _ -> Alcotest.fail "first submit should be accepted at depth 1");
   (match Admission.submit q ~id:"b" ~spec:s with
   | `Accepted 2 -> ()
   | _ -> Alcotest.fail "second submit should be accepted at depth 2");
-  Alcotest.(check bool) "full" false (Admission.accepting q);
+  Alcotest.(check bool) "full" true (Admission.try_reject q <> None);
   (match Admission.submit q ~id:"c" ~spec:s with
   | `Rejected ms -> Alcotest.(check bool) "positive hint" true (ms > 0)
   | `Accepted _ -> Alcotest.fail "queue is full");
-  Alcotest.(check int) "queue length" 2 (Admission.queue_length q);
+  Alcotest.(check int) "queue length" 2 (Admission.stats q).Admission.queue_len;
   (* FIFO drain. *)
   let a = Option.get (Admission.pop q) in
   let b = Option.get (Admission.pop q) in
@@ -308,24 +308,22 @@ let test_admission_measurements () =
   let b = Option.get (Admission.pop q) in
   Admission.note_started q a;                    (* t = 3000: wait 2000 *)
   Admission.note_started q b;                    (* t = 4000: wait 2000 *)
-  Admission.note_done q a ~ok:true;              (* t = 5000: service 2000 *)
-  Admission.note_done q b ~ok:false;             (* t = 6000: service 2000 *)
+  let done_a = Admission.note_done q a ~ok:true in   (* t = 5000 *)
+  let done_b = Admission.note_done q b ~ok:false in  (* t = 6000 *)
   let st = Admission.stats q in
   Alcotest.(check int) "arrivals" 2 st.Admission.arrivals;
+  Alcotest.(check int) "started" 2 st.Admission.started;
   Alcotest.(check int) "completed" 1 st.Admission.completed;
   Alcotest.(check int) "failed" 1 st.Admission.failed;
-  Alcotest.(check (array (float 0.)))
-    "waits" [| 2000.; 2000. |] st.Admission.wait_ns;
-  Alcotest.(check (array (float 0.)))
-    "services" [| 2000.; 2000. |] st.Admission.service_ns;
-  Alcotest.(check (array (float 0.)))
-    "sojourns" [| 4000.; 4000. |] st.Admission.sojourn_ns;
+  Alcotest.(check (list int64)) "starts" [ 3000L; 4000L ]
+    [ a.Admission.t_start; b.Admission.t_start ];
+  Alcotest.(check (list int64)) "completions" [ 5000L; 6000L ]
+    [ done_a; done_b ];
   Alcotest.(check int64) "window start" 1000L st.Admission.first_arrival;
   Alcotest.(check int64) "window end" 2000L st.Admission.last_arrival;
   Admission.reset_stats q;
   let st = Admission.stats q in
-  Alcotest.(check int) "reset arrivals" 0 st.Admission.arrivals;
-  Alcotest.(check int) "reset samples" 0 (Array.length st.Admission.wait_ns)
+  Alcotest.(check int) "reset arrivals" 0 st.Admission.arrivals
 
 let test_admission_retry_hint () =
   (* Manual clock, ns.  Services of 3 ms (ok) and 1 ms (failed) give a
@@ -338,7 +336,7 @@ let test_admission_retry_hint () =
     let e = Option.get (Admission.pop q) in
     Admission.note_started q e;
     now := Int64.add !now (Int64.of_int (ms * 1_000_000));
-    Admission.note_done q e ~ok:(id = "a")
+    ignore (Admission.note_done q e ~ok:(id = "a") : int64)
   in
   serve ~id:"a" ~ms:3;
   serve ~id:"b" ~ms:1;
@@ -357,11 +355,31 @@ let test_admission_resubmit_unbounded () =
   (* Depth exhausted, but recovery resubmits must never be refused. *)
   Admission.resubmit q ~id:"b" ~spec:s;
   Admission.resubmit q ~id:"c" ~spec:s;
-  Alcotest.(check int) "all queued" 3 (Admission.queue_length q);
+  Alcotest.(check int) "all queued" 3 (Admission.stats q).Admission.queue_len;
   Tutil.check_raises_invalid "depth 0" (fun () ->
       Admission.create ~depth:0 ~servers:1 ());
   Tutil.check_raises_invalid "servers 0" (fun () ->
       Admission.create ~depth:1 ~servers:0 ())
+
+let test_admission_state_bounded () =
+  (* The queue keeps counters, not per-job samples: its reachable heap
+     is the same after 10 jobs as after 10,000. *)
+  let q = Admission.create ~clock:(fake_clock 1000L) ~depth:1 ~servers:1 () in
+  let s = spec () in
+  let serve jobs =
+    for k = 1 to jobs do
+      ignore (Admission.submit q ~id:(string_of_int k) ~spec:s);
+      let e = Option.get (Admission.pop q) in
+      Admission.note_started q e;
+      ignore (Admission.note_done q e ~ok:(k mod 2 = 0) : int64)
+    done;
+    Obj.reachable_words (Obj.repr q)
+  in
+  let after_10 = serve 10 in
+  let after_10_000 = serve 9_990 in
+  Alcotest.(check int) "words after 10 and 10,000 jobs" after_10 after_10_000;
+  Alcotest.(check int) "all counted" 10_000
+    (Admission.stats q).Admission.started
 
 (* ------------------------------------------------------------------ *)
 (* Job: spec persistence and crash-safe execution                      *)
@@ -909,19 +927,22 @@ let test_daemon_deadline () =
       let c = Client.connect ~socket () in
       let sub = Client.connect ~socket () in
       Client.subscribe sub ();
-      (* Far more rounds than 0.05 s allows: only the watchdog ends it. *)
-      let s = spec ~n:4096 ~rounds:10_000_000 ~deadline_s:0.05 () in
-      let id =
+      let submit s =
         match Client.submit c s with
         | `Accepted id -> id
         | `Rejected _ -> Alcotest.fail "idle daemon must accept"
       in
-      let rec failed () =
+      let rec await kind id =
         let ev = Client.next_event sub in
-        if ev.Protocol.ev = "failed" && ev.Protocol.id = id then ev
-        else failed ()
+        if ev.Protocol.ev = kind && ev.Protocol.id = id then ev
+        else await kind id
       in
-      let ev = failed () in
+      (* One job that finishes, so the latency histograms hold an ok
+         and a deadline series. *)
+      ignore (await "done" (submit (spec ~rounds:50 ())) : Protocol.event);
+      (* Far more rounds than 0.05 s allows: only the watchdog ends it. *)
+      let id = submit (spec ~n:4096 ~rounds:10_000_000 ~deadline_s:0.05 ()) in
+      let ev = await "failed" id in
       Alcotest.(check bool) "detail names the deadline" true
         (Tutil.contains_substring ev.Protocol.detail
            "deadline of 0.05s exceeded");
@@ -929,8 +950,9 @@ let test_daemon_deadline () =
       | Protocol.Job_status { state; _ } ->
           Alcotest.(check string) "status" "failed" state
       | _ -> Alcotest.fail "expected job status");
+      let stats = Client.stats c in
       Alcotest.(check (option int)) "stats count the deadline" (Some 1)
-        (Jsonl.find_int (Client.stats c) "deadlined");
+        (Jsonl.find_int stats "deadlined");
       let exposition = Client.metrics c in
       Alcotest.(check (option (float 0.))) "deadlined counter" (Some 1.)
         (Rbb_obs.Prometheus.sample_value exposition "rbb_jobs_deadlined_total");
@@ -939,6 +961,38 @@ let test_daemon_deadline () =
         (Rbb_obs.Prometheus.sample_value
            ~labels:[ ("outcome", "deadline") ]
            exposition "rbb_job_sojourn_seconds_count");
+      (* The stats reply's sojourn fields are what a scraper computes
+         from the exposition, merged over both outcomes. *)
+      let stat key =
+        match Jsonl.find_float stats key with
+        | Some v -> v
+        | None -> Alcotest.failf "stats reply lacks %s" key
+      in
+      let summed metric =
+        List.fold_left
+          (fun acc outcome ->
+            match
+              Rbb_obs.Prometheus.sample_value
+                ~labels:[ ("outcome", outcome) ]
+                exposition metric
+            with
+            | Some v -> acc +. v
+            | None -> Alcotest.failf "scrape lacks %s for %s" metric outcome)
+          0. [ "ok"; "deadline" ]
+      in
+      Tutil.check_rel ~tol:1e-6 "sojourn mean = scraped sum / count"
+        (summed "rbb_job_sojourn_seconds_sum"
+        /. summed "rbb_job_sojourn_seconds_count")
+        (stat "sojourn_mean_s");
+      List.iter
+        (fun (key, q) ->
+          match
+            Rbb_obs.Prometheus.scraped_quantile exposition
+              "rbb_job_sojourn_seconds" q
+          with
+          | Some scraped -> Tutil.check_rel ~tol:1e-6 key scraped (stat key)
+          | None -> Alcotest.fail "scrape lacks the sojourn histogram")
+        [ ("sojourn_p50_s", 0.5); ("sojourn_p99_s", 0.99) ];
       Client.shutdown c;
       Client.close c;
       Client.close sub;
@@ -994,6 +1048,7 @@ let suite =
         Tutil.quick "measurement plane" test_admission_measurements;
         Tutil.quick "retry hint arithmetic" test_admission_retry_hint;
         Tutil.quick "resubmit bypasses the bound" test_admission_resubmit_unbounded;
+        Tutil.quick "state does not grow with jobs" test_admission_state_bounded;
       ] );
     ( "serve.job",
       [
