@@ -233,7 +233,7 @@ let failpoint_t =
   let doc =
     "Arm a failpoint (repeatable): $(b,NAME), \
      $(b,NAME@round=R,shard=S,fails=K) or $(b,NAME@p=P,seed=S).  Names: \
-     sharded.launch, sharded.merge, sharded.settle, parallel.task.  \
+     sharded.launch, sharded.merge, sharded.settle.  \
      Forces the sharded engine and attaches a retrying supervisor."
   in
   Arg.(value & opt_all string [] & info [ "failpoint" ] ~docv:"SPEC" ~doc)

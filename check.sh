@@ -149,10 +149,16 @@ wait "$pid" 2> /dev/null || true
   --checkpoint-every 50 > "$servedir/a.log" 2>&1 &
 pid=$!
 "$rbb" submit --socket "$tracedir/a.sock" --result job-000001 > "$servedir/resumed.txt"
+# A finished job is answered from its result file, not from memory.
+[ "$("$rbb" submit --socket "$tracedir/a.sock" --status job-000001)" \
+  = "job-000001 done round=60000" ] \
+  || { echo "check.sh: finished job's status is not done round=60000"; exit 1; }
 "$rbb" submit --socket "$tracedir/a.sock" --shutdown > /dev/null
 wait "$pid"
 grep -q 'resumed 1 pending job' "$servedir/a.log" \
   || { echo "check.sh: restarted daemon did not resume the orphaned job"; exit 1; }
+grep -qF 'shutdown (1 job(s) completed this run)' "$servedir/a.log" \
+  || { echo "check.sh: restarted daemon's shutdown line miscounts its jobs"; exit 1; }
 "$rbb" serve --socket "$tracedir/b.sock" --state-dir "$servedir/b" \
   --checkpoint-every 50 > /dev/null 2>&1 &
 pid=$!

@@ -63,13 +63,8 @@ val run : ?probe:Probe.t -> t -> rounds:int -> unit
     observable per round.  The probe never affects the trajectory.
     @raise Invalid_argument if [rounds < 0]. *)
 
-val run_until :
-  ?probe:Probe.t -> t -> max_rounds:int -> stop:(t -> bool) -> int option
-(** As {!Process.run_until}. *)
-
-val run_until_legitimate :
-  ?probe:Probe.t -> ?beta:float -> t -> max_rounds:int -> int option
-(** Rounds until the configuration becomes legitimate. *)
+val run_until_legitimate : ?beta:float -> t -> max_rounds:int -> int option
+(** As {!Process.run_until_legitimate}. *)
 
 val round : t -> int
 val n : t -> int

@@ -23,3 +23,19 @@ type t = {
   capacity : int;
   weighted : bool;
 }
+
+let run_until e ~max_rounds ~stop =
+  if max_rounds < 0 then invalid_arg "Engine.run_until: max_rounds < 0";
+  let rec go k =
+    if stop e then Some (e.round ())
+    else if k >= max_rounds then None
+    else begin
+      e.step ();
+      go (k + 1)
+    end
+  in
+  go 0
+
+let run_until_legitimate ?beta e ~max_rounds =
+  let threshold = Config.legitimacy_threshold ?beta ~m:e.balls e.n in
+  run_until e ~max_rounds ~stop:(fun e -> e.max_load () <= threshold)

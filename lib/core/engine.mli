@@ -48,3 +48,15 @@ type t = {
       (** a non-uniform re-assignment law is installed (such an engine
           cannot be checkpointed) *)
 }
+
+val run_until : t -> max_rounds:int -> stop:(t -> bool) -> int option
+(** Steps until [stop] holds, testing it before the first round and
+    after each one; returns the engine's completed-round count
+    ([round ()]) when it first holds, or [None] after [max_rounds]
+    further rounds.
+    @raise Invalid_argument if [max_rounds < 0]. *)
+
+val run_until_legitimate : ?beta:float -> t -> max_rounds:int -> int option
+(** {!run_until} the configuration is legitimate: max load at most
+    {!Config.legitimacy_threshold} [?beta ~m:balls n] (Theorem 1
+    convergence measurement). *)

@@ -232,25 +232,6 @@ let run ?(probe = Probe.noop) t ~rounds =
       step t
     done
 
-let run_until ?(probe = Probe.noop) t ~max_rounds ~stop =
-  if max_rounds < 0 then invalid_arg "Process.run_until: max_rounds < 0";
-  let step t = if Probe.live probe then step_timed t ~probe else step t in
-  if stop t then Some t.round
-  else begin
-    let rec go k =
-      if k >= max_rounds then None
-      else begin
-        step t;
-        if stop t then Some t.round else go (k + 1)
-      end
-    in
-    go 0
-  end
-
-let run_until_legitimate ?probe ?beta t ~max_rounds =
-  let threshold = Config.legitimacy_threshold ?beta ~m:t.m (n t) in
-  run_until ?probe t ~max_rounds ~stop:(fun t -> t.max_load <= threshold)
-
 let engine ?(probe = Probe.noop) t =
   {
     Engine.kind = Balls;
@@ -268,3 +249,9 @@ let engine ?(probe = Probe.noop) t =
     capacity = t.capacity;
     weighted = t.weights <> None;
   }
+
+let run_until t ~max_rounds ~stop =
+  Engine.run_until (engine t) ~max_rounds ~stop:(fun _ -> stop t)
+
+let run_until_legitimate ?beta t ~max_rounds =
+  Engine.run_until_legitimate ?beta (engine t) ~max_rounds

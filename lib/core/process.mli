@@ -95,18 +95,17 @@ val run : ?probe:Probe.t -> t -> rounds:int -> unit
     identical with or without it.
     @raise Invalid_argument if [rounds < 0]. *)
 
-val run_until :
-  ?probe:Probe.t -> t -> max_rounds:int -> stop:(t -> bool) -> int option
-(** Steps until [stop t] holds (checked after each round, and before the
-    first); returns the round number at which it first held, or [None]
-    after [max_rounds] additional rounds.  A live [probe] instruments
-    each round exactly as in {!run} (without the [process.run] total).
+val run_until : t -> max_rounds:int -> stop:(t -> bool) -> int option
+(** {!Engine.run_until} over [engine t]: steps until [stop t] holds
+    (checked before the first round and after each one); returns the
+    round number at which it first held, or [None] after [max_rounds]
+    additional rounds.
     @raise Invalid_argument if [max_rounds < 0]. *)
 
-val run_until_legitimate :
-  ?probe:Probe.t -> ?beta:float -> t -> max_rounds:int -> int option
-(** Rounds until the configuration becomes legitimate (Theorem 1
-    convergence measurement). *)
+val run_until_legitimate : ?beta:float -> t -> max_rounds:int -> int option
+(** {!Engine.run_until_legitimate} over [engine t]: the round at which
+    the configuration first becomes legitimate (Theorem 1 convergence
+    measurement). *)
 
 val round : t -> int
 (** Rounds executed so far. *)

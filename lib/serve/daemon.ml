@@ -1,8 +1,8 @@
 (* The serve daemon: a select-driven event loop on the calling domain
-   (socket I/O, admission decisions, event fan-out) plus a worker pool
-   hosted on Parallel.map_domains (one long-lived task per worker).
-   All cross-domain traffic funnels through Admission's queue and one
-   daemon mutex guarding job states + the event queue. *)
+   (socket I/O, admission decisions, event fan-out) plus one worker
+   domain per configured worker, each popping jobs until Admission
+   closes.  All cross-domain traffic funnels through Admission's queue
+   and one daemon mutex guarding the job table + the event queue. *)
 
 module Jsonl = Rbb_sim.Jsonl
 module Fileio = Rbb_sim.Fileio
@@ -33,11 +33,24 @@ let default_config ~socket ~state_dir =
     io_failpoints = Failpoint.noop;
   }
 
-type job_state =
+type running = {
+  mutable round : int;  (** last checkpointed round; set under the lock *)
+  expiry : float;
+      (** monotonic seconds: dispatch time plus [deadline_s], [infinity]
+          without a deadline *)
+  cancel : bool Atomic.t;  (** set by the watchdog, polled each round *)
+}
+
+(* A job the daemon is serving.  An entry leaves the table as soon as
+   the job's .result or .failed record is durable: from then on the
+   state directory answers for it, so the table holds the work in hand,
+   not the jobs served. *)
+type job =
   | Queued
-  | Running of int
-  | Finished of int
-  | Failed of int * string  (** last checkpointed round, error detail *)
+  | Running of running
+  | Failed of int * string
+      (** last checkpointed round, error detail: a failure whose .failed
+          marker could not be written *)
 
 type conn = {
   fd : Unix.file_descr;
@@ -55,27 +68,22 @@ type t = {
   admission : Admission.t;
   registry : Registry.t;
       (** every counter and histogram the daemon keeps; locks itself *)
-  lock : Mutex.t;
-      (** guards [states], [events], [workers_live] and [deadlines] *)
-  states : (string, job_state) Hashtbl.t;
+  lock : Mutex.t;  (** guards [jobs], [events] and [workers_live] *)
+  jobs : (string, job) Hashtbl.t;
   events : Protocol.event Queue.t;
-  deadlines : (string, float * bool Atomic.t) Hashtbl.t;
-      (** running jobs with a finite deadline: absolute monotonic expiry
-          plus the cancel flag the owning worker polls each round *)
   mutable workers_live : int;
   (* event-loop-domain state: *)
   mutable draining : bool;
   mutable next_id : int;
   mutable conns : conn list;
-  mutable completed_this_run : int;
 }
 
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let set_state t id st = with_lock t (fun () -> Hashtbl.replace t.states id st)
-let get_state t id = with_lock t (fun () -> Hashtbl.find_opt t.states id)
+let set_job t id job = with_lock t (fun () -> Hashtbl.replace t.jobs id job)
+let drop_job t id = with_lock t (fun () -> Hashtbl.remove t.jobs id)
 let push_event t ev = with_lock t (fun () -> Queue.add ev t.events)
 
 let drain_events t =
@@ -117,56 +125,52 @@ let observe_job t entry ~ok ~outcome =
   Registry.observe t.registry ~labels "rbb_job_sojourn_seconds"
     (sec now entry.Admission.t_submit)
 
-(* Register a running job with the deadline watchdog.  The returned
-   [should_stop] closure is what Job.run polls each round; the watchdog
-   (event-loop domain) flips the flag once the wall clock passes the
-   absolute expiry, so enforcement needs no per-round clock reads in
-   the worker and one source of truth decides lateness. *)
-let arm_deadline t ~id spec =
-  let deadline_s = spec.Protocol.deadline_s in
-  if not (Float.is_finite deadline_s) then fun () -> None
-  else begin
-    let flag = Atomic.make false in
-    with_lock t (fun () ->
-        Hashtbl.replace t.deadlines id (now_s () +. deadline_s, flag));
-    fun () ->
-      if Atomic.get flag then
-        Some
-          (Printf.sprintf "deadline of %ss exceeded"
-             (Jsonl.float_repr deadline_s))
-      else None
-  end
-
-let disarm_deadline t ~id = with_lock t (fun () -> Hashtbl.remove t.deadlines id)
-
 let fail_job t entry ~round ~detail ~outcome =
   let id = entry.Admission.id in
   observe_job t entry ~ok:false ~outcome;
   Registry.incr t.registry "serve.failed_total";
   (* Durable failure record: without it, scan would resubmit the job on
-     every restart and it would re-fail forever. *)
-  (try Job.write_failed ~state_dir:t.cfg.state_dir ~id ~round ~detail
-   with Sys_error _ | Unix.Unix_error _ | Failpoint.Injected _ -> ());
-  set_state t id (Failed (round, detail));
+     every restart and it would re-fail forever.  If it cannot be
+     written, the table keeps the failure for as long as this daemon
+     runs. *)
+  (match Job.write_failed ~state_dir:t.cfg.state_dir ~id ~round ~detail with
+  | () -> drop_job t id
+  | exception (Sys_error _ | Unix.Unix_error _ | Failpoint.Injected _) ->
+      set_job t id (Failed (round, detail)));
   push_event t { Protocol.ev = "failed"; id; round; detail }
 
-let worker_loop t _w =
+let worker_loop t =
   let rec go () =
     match Admission.pop t.admission with
     | None -> ()
     | Some entry ->
-        let id = entry.Admission.id in
+        let id = entry.Admission.id and spec = entry.Admission.spec in
         Admission.note_started t.admission entry;
         Registry.incr t.registry "serve.started_total";
-        set_state t id (Running 0);
+        (* The deadline runs from dispatch.  The watchdog (event-loop
+           domain) flips [cancel] once the expiry passes and Job.run
+           polls it each round, so enforcement needs no per-round clock
+           reads in the worker and one source of truth decides lateness. *)
+        let job =
+          {
+            round = 0;
+            expiry = now_s () +. spec.Protocol.deadline_s;
+            cancel = Atomic.make false;
+          }
+        in
+        set_job t id (Running job);
         push_event t { Protocol.ev = "started"; id; round = 0; detail = "" };
-        let last_round = ref 0 in
-        let should_stop = arm_deadline t ~id entry.Admission.spec in
+        let should_stop () =
+          if Atomic.get job.cancel then
+            Some
+              (Printf.sprintf "deadline of %ss exceeded"
+                 (Jsonl.float_repr spec.Protocol.deadline_s))
+          else None
+        in
         (match
            Job.run
              ~on_progress:(fun ~round ->
-               last_round := round;
-               set_state t id (Running round);
+               with_lock t (fun () -> job.round <- round);
                push_event t
                  { Protocol.ev = "checkpoint"; id; round; detail = "" })
              ~on_quarantine:(fun ~path ~reason ->
@@ -181,23 +185,21 @@ let worker_loop t _w =
              ~on_save_error:(fun ~round:_ ~error:_ ->
                Registry.incr t.registry "serve.checkpoint_save_errors_total")
              ~should_stop ~state_dir:t.cfg.state_dir
-             ~checkpoint_every:t.cfg.checkpoint_every ~id entry.Admission.spec
+             ~checkpoint_every:t.cfg.checkpoint_every ~id spec
          with
         | (_ : (string * Jsonl.value) list) ->
-            disarm_deadline t ~id;
+            (* The result is published: the state directory answers. *)
+            drop_job t id;
             observe_job t entry ~ok:true ~outcome:"ok";
             Registry.incr t.registry "serve.completed_total";
-            let rounds = entry.Admission.spec.Protocol.rounds in
-            set_state t id (Finished rounds);
-            push_event t { Protocol.ev = "done"; id; round = rounds; detail = "" }
+            let round = spec.Protocol.rounds in
+            push_event t { Protocol.ev = "done"; id; round; detail = "" }
         | exception Job.Canceled { round; reason; _ } ->
-            disarm_deadline t ~id;
             Registry.incr t.registry "rbb_jobs_deadlined_total";
             fail_job t entry ~round ~detail:reason ~outcome:"deadline"
         | exception e ->
-            disarm_deadline t ~id;
-            fail_job t entry ~round:!last_round
-              ~detail:(Printexc.to_string e) ~outcome:"error");
+            fail_job t entry ~round:job.round ~detail:(Printexc.to_string e)
+              ~outcome:"error");
         go ()
   in
   Fun.protect
@@ -327,6 +329,33 @@ let result_rounds body =
   | None -> 0
   | Some fields -> Option.value ~default:0 (Jsonl.find_int fields "rounds")
 
+(* What is known of a job: its result, else its live entry, else its
+   failure marker.  The entry is read before the files: a worker drops
+   it only once the job's durable record exists, so a job missing from
+   the table is on disk by the time the files are read. *)
+let lookup t id =
+  let live =
+    with_lock t (fun () ->
+        match Hashtbl.find_opt t.jobs id with
+        | Some Queued -> Some (`Live ("queued", 0))
+        | Some (Running r) -> Some (`Live ("running", r.round))
+        | Some (Failed (round, detail)) -> Some (`Failed (round, detail))
+        | None -> None)
+  in
+  match (read_result t id, live) with
+  | Some body, _ -> `Done body
+  | None, Some answer -> answer
+  | None, None -> (
+      match Job.read_failed ~state_dir:t.cfg.state_dir ~id with
+      | Some (round, detail) -> `Failed (round, detail)
+      | None -> `Unknown)
+
+let unknown_job id =
+  [
+    Protocol.Error_reply
+      { code = "unknown_job"; message = Printf.sprintf "no job %S" id };
+  ]
+
 let dispatch t conn req =
   match (req : Protocol.request) with
   | Ping -> [ Protocol.Pong ]
@@ -370,7 +399,7 @@ let dispatch t conn req =
                     };
                 ]
             | () ->
-            set_state t id Queued;
+            set_job t id Queued;
             Registry.incr t.registry "serve.accepted_total";
             push_event t { Protocol.ev = "accepted"; id; round = 0; detail = "" };
             match Admission.submit t.admission ~id ~spec with
@@ -382,65 +411,21 @@ let dispatch t conn req =
                 assert false)
       end
   | Status id -> (
-      match get_state t id with
-      | Some Queued -> [ Protocol.Job_status { id; state = "queued"; round = 0 } ]
-      | Some (Running round) ->
-          [ Protocol.Job_status { id; state = "running"; round } ]
-      | Some (Finished round) ->
+      match lookup t id with
+      | `Done body ->
+          let round = result_rounds body in
           [ Protocol.Job_status { id; state = "done"; round } ]
-      | Some (Failed (round, _)) ->
+      | `Live (state, round) -> [ Protocol.Job_status { id; state; round } ]
+      | `Failed (round, _) ->
           [ Protocol.Job_status { id; state = "failed"; round } ]
-      | None -> (
-          (* Not in this daemon's memory — but a previous life may have
-             finished (or failed) it: the result file and the failure
-             marker are the durable records. *)
-          match read_result t id with
-          | Some body ->
-              [
-                Protocol.Job_status
-                  { id; state = "done"; round = result_rounds body };
-              ]
-          | None -> (
-              match Job.read_failed ~state_dir:t.cfg.state_dir ~id with
-              | Some (round, _) ->
-                  [ Protocol.Job_status { id; state = "failed"; round } ]
-              | None ->
-                  [
-                    Protocol.Error_reply
-                      {
-                        code = "unknown_job";
-                        message = Printf.sprintf "no job %S" id;
-                      };
-                  ])))
+      | `Unknown -> unknown_job id)
   | Result id -> (
-      match read_result t id with
-      | Some body -> [ Protocol.Job_result { id; body } ]
-      | None -> (
-          match get_state t id with
-          | Some (Failed (_, detail)) ->
-              [ Protocol.Error_reply { code = "job_failed"; message = detail } ]
-          | Some Queued -> [ Protocol.Job_status { id; state = "queued"; round = 0 } ]
-          | Some (Running round) ->
-              [ Protocol.Job_status { id; state = "running"; round } ]
-          | Some (Finished round) ->
-              (* done-state seen but the result read raced the rename;
-                 report status, the client will re-ask. *)
-              [ Protocol.Job_status { id; state = "done"; round } ]
-          | None -> (
-              match Job.read_failed ~state_dir:t.cfg.state_dir ~id with
-              | Some (_, detail) ->
-                  [
-                    Protocol.Error_reply
-                      { code = "job_failed"; message = detail };
-                  ]
-              | None ->
-                  [
-                    Protocol.Error_reply
-                      {
-                        code = "unknown_job";
-                        message = Printf.sprintf "no job %S" id;
-                      };
-                  ])))
+      match lookup t id with
+      | `Done body -> [ Protocol.Job_result { id; body } ]
+      | `Live (state, round) -> [ Protocol.Job_status { id; state; round } ]
+      | `Failed (_, detail) ->
+          [ Protocol.Error_reply { code = "job_failed"; message = detail } ]
+      | `Unknown -> unknown_job id)
   | Subscribe sel ->
       conn.sub <- Some sel;
       [ Protocol.Ok_reply ]
@@ -611,14 +596,12 @@ let run cfg =
       admission = Admission.create ~depth:cfg.queue_depth ~servers:cfg.workers ();
       registry;
       lock = Mutex.create ();
-      states = Hashtbl.create 64;
+      jobs = Hashtbl.create 64;
       events = Queue.create ();
-      deadlines = Hashtbl.create 8;
       workers_live = cfg.workers;
       draining = false;
       next_id = 1;
       conns = [];
-      completed_this_run = 0;
     }
   in
   logf t "rbb serve: state dir %s" cfg.state_dir;
@@ -628,7 +611,10 @@ let run cfg =
     Job.scan
       ~on_quarantine:(fun ~id ~reason ->
         Registry.incr t.registry "rbb_quarantined_total";
-        set_state t id (Failed (0, reason));
+        (* scan has tried the .failed marker; without it, only the
+           table reports the failure. *)
+        if Job.read_failed ~state_dir:cfg.state_dir ~id = None then
+          set_job t id (Failed (0, reason));
         push_event t
           { Protocol.ev = "quarantined"; id; round = 0; detail = reason };
         logf t "rbb serve: quarantined spec of %s (%s)" id reason)
@@ -637,7 +623,7 @@ let run cfg =
   t.next_id <- next;
   List.iter
     (fun (id, spec) ->
-      set_state t id Queued;
+      set_job t id Queued;
       push_event t { Protocol.ev = "accepted"; id; round = 0; detail = "resumed" };
       Registry.incr t.registry "serve.resumed_total";
       Admission.resubmit t.admission ~id ~spec)
@@ -654,10 +640,7 @@ let run cfg =
   logf t "rbb serve: listening on %s (workers=%d queue-depth=%d)" cfg.socket
     cfg.workers cfg.queue_depth;
   let pool =
-    Domain.spawn (fun () ->
-        ignore
-          (Rbb_sim.Parallel.map_domains ~domains:cfg.workers ~tasks:cfg.workers
-             (worker_loop t)))
+    List.init cfg.workers (fun _ -> Domain.spawn (fun () -> worker_loop t))
   in
   let workers_done () = with_lock t (fun () -> t.workers_live = 0) in
   let accept_new () =
@@ -687,8 +670,6 @@ let run cfg =
     | evs ->
         List.iter
           (fun ev ->
-            if ev.Protocol.ev = "done" then
-              t.completed_this_run <- t.completed_this_run + 1;
             output_string events_oc
               (Protocol.response_to_json (Protocol.Event ev));
             output_char events_oc '\n';
@@ -705,18 +686,20 @@ let run cfg =
      wall-clock budget has expired.  The owning worker observes the flag
      at its next round boundary and fails the job through the durable
      .failed machinery. *)
-  let check_deadlines () =
+  let watchdog () =
     let now = now_s () in
     with_lock t (fun () ->
         Hashtbl.iter
-          (fun _id (expiry, flag) -> if now >= expiry then Atomic.set flag true)
-          t.deadlines)
+          (fun _ -> function
+            | Running r when now >= r.expiry -> Atomic.set r.cancel true
+            | Queued | Running _ | Failed _ -> ())
+          t.jobs)
   in
   let next_prom = ref (now_s ()) in
   let flush_spins = ref 0 in
   let rec loop () =
     pump_events ();
-    check_deadlines ();
+    watchdog ();
     if now_s () >= !next_prom then begin
       (* The exposition write goes through the faultable I/O shim; an
          injected (or real) failure there must not kill the daemon —
@@ -769,6 +752,6 @@ let run cfg =
       Fileio.release_lock lock)
     (fun () ->
       loop ();
-      Domain.join pool;
+      List.iter Domain.join pool;
       logf t "rbb serve: shutdown (%d job(s) completed this run)"
-        t.completed_this_run)
+        (int_of_float (Registry.counter_value t.registry "serve.completed_total")))

@@ -6,8 +6,17 @@
     share one) and a socket speaking {!Protocol} frames.  Jobs flow
 
     {v submit → admission queue (bounded; explicit reject) → worker
-       domains ({!Rbb_sim.Parallel.map_domains} hosts the pool) →
+       domains (one per [workers], spawned at startup) →
        checkpointed execution ({!Job.run}) → atomic result v}
+
+    {b Job table.}  The daemon keeps in memory only the jobs it is
+    serving: queued ones, running ones (last checkpointed round,
+    deadline expiry, cancel flag), and a failure whose [.failed] marker
+    could not be written.  A job leaves the table as soon as its
+    [<id>.result] or [<id>.failed] record is durable; from then on
+    [status] and [result] answer from the state directory, the same
+    after a week of uptime as after a restart.  The table's size is
+    bounded by the work in hand, not by the jobs served.
 
     {b Crash safety.}  Every accepted job's spec is on disk before the
     accept is acknowledged, running jobs republish a checkpoint every

@@ -43,7 +43,6 @@ let known_names =
     "sharded.launch";
     "sharded.merge";
     "sharded.settle";
-    "parallel.task";
     "io.write";
     "io.fsync";
     "io.rename";

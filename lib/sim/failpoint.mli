@@ -1,12 +1,12 @@
 (** Named fault-injection points for the parallel engines.
 
     Production fault tolerance cannot be tested against faults that
-    never happen: a failpoint set, threaded through {!Sharded} and
-    {!Parallel.map_domains}, makes a named phase raise {!Injected} at
-    chosen coordinates so the {!Supervisor}'s retry / degrade machinery
-    is exercised deterministically (the robustness counterpart of the
-    paper's §4.1 adversary, which perturbs the {e state} rather than
-    the {e execution}).
+    never happen: a failpoint set, threaded through {!Sharded}, makes a
+    named phase raise {!Injected} at chosen coordinates so the
+    {!Supervisor}'s retry / degrade machinery is exercised
+    deterministically (the robustness counterpart of the paper's §4.1
+    adversary, which perturbs the {e state} rather than the
+    {e execution}).
 
     Firing is a pure function of the spec and the
     [(round, shard, attempt)] coordinates — deterministic triggers name
@@ -46,12 +46,12 @@ val enabled : t -> bool
 
 val known_names : string list
 (** The names actually guarded: the engine phases ([sharded.launch],
-    [sharded.merge], [sharded.settle], [parallel.task]) and the
-    {!Fileio} syscall shim ([io.write], [io.fsync], [io.rename],
-    [io.lock] — for these, [round] is the 0-based index of the
-    faultable operation since {!Fileio.set_failpoints} armed the shim,
-    and [shard] and [attempt] are always [0]).  The CLI rejects other
-    names so a typo cannot silently inject nothing. *)
+    [sharded.merge], [sharded.settle]) and the {!Fileio} syscall shim
+    ([io.write], [io.fsync], [io.rename], [io.lock] — for these,
+    [round] is the 0-based index of the faultable operation since
+    {!Fileio.set_failpoints} armed the shim, and [shard] and [attempt]
+    are always [0]).  The CLI rejects other names so a typo cannot
+    silently inject nothing. *)
 
 val hash_unit :
   seed:int64 -> name:string -> round:int -> shard:int -> attempt:int -> float

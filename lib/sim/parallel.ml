@@ -136,8 +136,7 @@ let rounds ~(probe : Rbb_core.Probe.t) ~family ~domains ~round ~rounds ~observe
     Option.map (fun ((r, _, w), exn) -> (r, w, exn)) (Atomic.get failure)
   end
 
-let map_domains ?(telemetry = Telemetry.noop) ?(failpoints = Failpoint.noop)
-    ?(supervisor = Supervisor.noop) ?domains ~tasks f =
+let map_domains ?(telemetry = Telemetry.noop) ?domains ~tasks f =
   let domains = match domains with Some d -> d | None -> default_domains () in
   if domains < 1 then invalid_arg "Parallel.map_domains: domains < 1";
   if tasks < 0 then invalid_arg "Parallel.map_domains: negative tasks";
@@ -147,17 +146,6 @@ let map_domains ?(telemetry = Telemetry.noop) ?(failpoints = Failpoint.noop)
     let failure = Atomic.make None in
     let workers = Stdlib.min domains tasks in
     let timed = Telemetry.enabled telemetry in
-    (* Tasks are pure functions of their index, so a failed task can be
-       re-executed verbatim: the [parallel.task] failpoint fires at task
-       entry (keyed round 0, shard = task index) and the supervisor
-       retries the whole task.  Both default to inert. *)
-    let run_task i =
-      Supervisor.supervise supervisor ~name:"parallel.task" ~round:0 ~shard:i
-        (fun ~attempt ->
-          Failpoint.trip failpoints ~name:"parallel.task" ~round:0 ~shard:i
-            ~attempt;
-          f i)
-    in
     (* Worker [w] owns tasks w, w + workers, ...: the assignment depends
        only on the task index and [workers], and every task writes its
        own slot, so the result array is domain-schedule independent. *)
@@ -166,7 +154,7 @@ let map_domains ?(telemetry = Telemetry.noop) ?(failpoints = Failpoint.noop)
       let executed = ref 0 in
       let i = ref w in
       while !i < tasks do
-        (match run_task !i with
+        (match f !i with
         | v -> results.(!i) <- Some v
         | exception exn -> record_failure failure !i exn);
         incr executed;

@@ -72,8 +72,6 @@ val rounds :
 
 val map_domains :
   ?telemetry:Telemetry.t ->
-  ?failpoints:Failpoint.t ->
-  ?supervisor:Supervisor.t ->
   ?domains:int ->
   tasks:int ->
   (int -> 'a) ->
@@ -91,14 +89,6 @@ val map_domains :
     executed) and timer [parallel.worker<w>.wall] (its wall-clock time),
     plus the total counter [parallel.tasks]; task counts are
     deterministic in [(tasks, domains)].
-
-    [failpoints] (default {!Failpoint.noop}) guards each task at entry
-    under the name [parallel.task], keyed by round 0 and
-    [shard = task index]; [supervisor] (default {!Supervisor.noop})
-    retries a failed task — tasks must be pure functions of their index
-    (all of ours are, by the determinism law).  A task whose retry
-    budget is exhausted surfaces as {!Supervisor.Budget_exhausted}
-    through the ordinary smallest-index failure channel.
     @raise Invalid_argument if [domains < 1] or [tasks < 0]. *)
 
 val run :

@@ -28,21 +28,6 @@ let action_name : Adversary.action -> string = function
   | Reshuffle -> "reshuffle"
   | Rotate k -> Printf.sprintf "rotate(%d)" k
 
-(* Step until max_load <= threshold, at most [cap] rounds; returns the
-   number of rounds taken. *)
-let rounds_to_legit (e : Engine.t) ~threshold ~cap =
-  if e.max_load () <= threshold then Some 0
-  else begin
-    let rec go k =
-      if k >= cap then None
-      else begin
-        e.step ();
-        if e.max_load () <= threshold then Some (k + 1) else go (k + 1)
-      end
-    in
-    go 0
-  end
-
 let measure ?(beta = 4.0) ~action ~episodes ~max_recovery (e : Engine.t) =
   if episodes < 1 then invalid_arg "Recovery.measure: episodes < 1";
   if max_recovery < 1 then invalid_arg "Recovery.measure: max_recovery < 1";
@@ -50,15 +35,22 @@ let measure ?(beta = 4.0) ~action ~episodes ~max_recovery (e : Engine.t) =
      m ≫ n the max load can never drop below ⌈m/n⌉, so an n-only
      threshold would make every episode falsely report failure. *)
   let threshold = Config.legitimacy_threshold ~beta ~m:e.balls e.n in
+  (* Rounds taken to get below the threshold, at most [max_recovery]. *)
+  let rounds_to_legit () =
+    let start = e.round () in
+    Engine.run_until e ~max_rounds:max_recovery ~stop:(fun e ->
+        e.max_load () <= threshold)
+    |> Option.map (fun r -> r - start)
+  in
   (* Settle into the legitimate band first, so every episode starts from
      a legitimate configuration and measures pure fault recovery. *)
-  ignore (rounds_to_legit e ~threshold ~cap:max_recovery);
+  ignore (rounds_to_legit ());
   let rounds = ref 0 in
   let eps =
     List.init episodes (fun _ ->
         e.set_config (Adversary.perturb action e.rng (e.config ()));
         let spike = e.max_load () in
-        let recovered = rounds_to_legit e ~threshold ~cap:max_recovery in
+        let recovered = rounds_to_legit () in
         (match recovered with
         | Some k -> rounds := !rounds + k
         | None -> rounds := !rounds + max_recovery);

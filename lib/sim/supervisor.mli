@@ -1,7 +1,6 @@
 (** Retry supervision with capped exponential backoff.
 
-    The phases of {!Sharded} (and the tasks of
-    {!Parallel.map_domains}) are pure functions of committed state —
+    The phases of {!Sharded} are pure functions of committed state —
     parity load buffers, worker-private arrival buffers, and
     per-(round, shard) PRNG streams — so a failed slice of work can
     simply be executed again and produce bit-identical results.  A

@@ -14,7 +14,9 @@
      resume through a checkpoint file whose save -> load -> save bytes
      are identical and whose "engine_kind" header matches the family
      (balls files carry none, so their bytes predate the counts
-     extension), and conservation across the adversary's set_config.
+     extension), conservation across the adversary's set_config, and
+     Engine.run_until_legitimate agreeing with the sequential engine of
+     the family.
      Typed cross-kind restores raise instead of silently switching
      randomness laws. *)
 
@@ -417,6 +419,33 @@ let observation kind domains () =
   Alcotest.(check int) "rounds counter" observed_rounds
     (Telemetry.counter tel (family kind domains ^ ".rounds"))
 
+(* Run-until over the record: from the n = 64 pile the engine reaches
+   legitimacy, reports its completed-round count, and agrees with the
+   sequential engine of its family started from the same seed. *)
+let runs_until_legitimate kind domains () =
+  let pile = Config.all_in_one ~n:traced_n ~m:traced_n () in
+  let max_rounds = 100 * traced_n in
+  let e =
+    Rbb_sim.Engines.create ~domains ~kind ~rng:(rng 11L) ~init:pile ()
+  in
+  let r = Engine.run_until_legitimate e ~max_rounds in
+  (match r with
+  | Some r ->
+      Alcotest.(check int) "completed-round count" (e.round ()) r;
+      Alcotest.(check bool) "max load within the threshold" true
+        (e.max_load () <= Config.legitimacy_threshold ~m:traced_n traced_n)
+  | None -> Alcotest.fail "not legitimate within 100n rounds");
+  let sequential =
+    match kind with
+    | Balls ->
+        Process.run_until_legitimate ~max_rounds
+          (Process.create ~rng:(rng 11L) ~init:pile ())
+    | Counts ->
+        Counts_process.run_until_legitimate ~max_rounds
+          (Counts_process.create ~rng:(rng 11L) ~init:pile ())
+  in
+  Alcotest.(check (option int)) "sequential engine of the family" sequential r
+
 let create_rejects_counts_misuse () =
   let create ?d_choices ?failpoints () =
     Rbb_sim.Engines.create ?d_choices ?failpoints ~kind:Counts ~rng:(rng 1L)
@@ -473,5 +502,6 @@ let suite =
             Tutil.quick "set_config conserves"
               (set_config_conserves kind domains);
             Tutil.quick "observation" (observation kind domains);
+            Tutil.quick "run until legitimate" (runs_until_legitimate kind domains);
           ] ))
       engines

@@ -490,23 +490,6 @@ let unsupervised_fault_rolls_back () =
         (Telemetry.counter tel "sharded.rounds"))
     geometries
 
-let parallel_task_failpoint () =
-  let failpoints =
-    Failpoint.of_specs [ spec "parallel.task@shard=3,fails=1" ]
-  in
-  (* Supervised: the retried task succeeds and the results are exact. *)
-  let r =
-    Rbb_sim.Parallel.map_domains ~failpoints
-      ~supervisor:(instant_supervisor ()) ~domains:2 ~tasks:8 (fun i -> i * i)
-  in
-  Alcotest.(check (array int)) "results" (Array.init 8 (fun i -> i * i)) r;
-  (* Unsupervised: the injection surfaces. *)
-  match
-    Rbb_sim.Parallel.map_domains ~failpoints ~domains:2 ~tasks:8 (fun i -> i)
-  with
-  | exception Failpoint.Injected { name = "parallel.task"; shard = 3; _ } -> ()
-  | _ -> Alcotest.fail "expected Injected"
-
 (* ------------------------------------------------------------------ *)
 (* Adversary invariants                                                *)
 (* ------------------------------------------------------------------ *)
@@ -764,7 +747,6 @@ let suite =
         Tutil.quick "supervisor: degradation" budget_exhaustion_degrades;
         Tutil.quick "failpoint: unsupervised rollback"
           unsupervised_fault_rolls_back;
-        Tutil.quick "failpoint: parallel.task" parallel_task_failpoint;
         Tutil.prop "adversary: perturb conserves" ~count:100 gen_perturb_case
           prop_perturb_conserves;
         Tutil.quick "adversary: schedule boundaries" faulty_round_boundaries;

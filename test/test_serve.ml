@@ -918,8 +918,11 @@ let test_daemon_failed_job_is_durable () =
       Client.close c;
       Domain.join daemon)
 
-let test_daemon_deadline () =
-  with_temp_dir "rbb_e2e_deadline" (fun dir ->
+(* A daemon on a fresh state directory, with a client and a subscriber
+   to every job's events.  [f] submits through [submit] (which expects
+   an accept) and waits for one job's event of a kind through [await]. *)
+let with_daemon prefix f =
+  with_temp_dir prefix (fun dir ->
       let socket = Filename.concat dir "d.sock" in
       let state_dir = Filename.concat dir "state" in
       let cfg = Daemon.default_config ~socket ~state_dir in
@@ -937,11 +940,21 @@ let test_daemon_deadline () =
         if ev.Protocol.ev = kind && ev.Protocol.id = id then ev
         else await kind id
       in
+      f ~state_dir c ~submit ~await;
+      Client.shutdown c;
+      Client.close c;
+      Client.close sub;
+      Domain.join daemon)
+
+(* Far more rounds than 0.05 s allows: only the watchdog ends it. *)
+let deadlined = spec ~n:4096 ~rounds:10_000_000 ~deadline_s:0.05 ()
+
+let test_daemon_deadline () =
+  with_daemon "rbb_e2e_deadline" (fun ~state_dir:_ c ~submit ~await ->
       (* One job that finishes, so the latency histograms hold an ok
          and a deadline series. *)
       ignore (await "done" (submit (spec ~rounds:50 ())) : Protocol.event);
-      (* Far more rounds than 0.05 s allows: only the watchdog ends it. *)
-      let id = submit (spec ~n:4096 ~rounds:10_000_000 ~deadline_s:0.05 ()) in
+      let id = submit deadlined in
       let ev = await "failed" id in
       Alcotest.(check bool) "detail names the deadline" true
         (Tutil.contains_substring ev.Protocol.detail
@@ -992,11 +1005,67 @@ let test_daemon_deadline () =
           with
           | Some scraped -> Tutil.check_rel ~tol:1e-6 key scraped (stat key)
           | None -> Alcotest.fail "scrape lacks the sojourn histogram")
-        [ ("sojourn_p50_s", 0.5); ("sojourn_p99_s", 0.99) ];
-      Client.shutdown c;
-      Client.close c;
-      Client.close sub;
-      Domain.join daemon)
+        [ ("sojourn_p50_s", 0.5); ("sojourn_p99_s", 0.99) ])
+
+(* The daemon keeps only live jobs: a finished job is answered from its
+   .result or .failed record, so once the record is gone the job is
+   unknown. *)
+let test_daemon_answers_from_records () =
+  with_daemon "rbb_e2e_records" (fun ~state_dir c ~submit ~await ->
+      let ok = submit (spec ~rounds:50 ()) in
+      ignore (await "done" ok : Protocol.event);
+      let late = submit deadlined in
+      let failed = await "failed" late in
+      (match Client.request c (Protocol.Status ok) with
+      | Protocol.Job_status { state; round; _ } ->
+          Alcotest.(check (pair string int)) "done status" ("done", 50)
+            (state, round)
+      | _ -> Alcotest.fail "expected job status");
+      (match Client.request c (Protocol.Result ok) with
+      | Protocol.Job_result { body; _ } ->
+          Alcotest.(check (option string)) "result is the file" (Some body)
+            (In_channel.with_open_text (Job.result_path ~state_dir ~id:ok)
+               In_channel.input_line)
+      | _ -> Alcotest.fail "expected the result");
+      (match Client.request c (Protocol.Status late) with
+      | Protocol.Job_status { state; round; _ } ->
+          Alcotest.(check (pair string int)) "failed status"
+            ("failed", failed.Protocol.round) (state, round)
+      | _ -> Alcotest.fail "expected job status");
+      (match Client.request c (Protocol.Result late) with
+      | Protocol.Error_reply { code; message } ->
+          Alcotest.(check (pair string string)) "job_failed"
+            ("job_failed", failed.Protocol.detail) (code, message)
+      | _ -> Alcotest.fail "expected a job_failed error");
+      Sys.remove (Job.result_path ~state_dir ~id:ok);
+      Sys.remove (Job.failed_path ~state_dir ~id:late);
+      List.iter
+        (fun req ->
+          match Client.request c req with
+          | Protocol.Error_reply { code; _ } ->
+              Alcotest.(check string) "record removed" "unknown_job" code
+          | _ -> Alcotest.fail "expected unknown_job")
+        Protocol.[ Status ok; Result ok; Status late; Result late ])
+
+(* A failure whose .failed marker cannot be written (a directory holds
+   its path, so the rename fails) is kept in the table and reported
+   until the daemon exits. *)
+let test_daemon_failure_without_marker () =
+  with_daemon "rbb_e2e_nomarker" (fun ~state_dir c ~submit ~await ->
+      let id = Job.fresh_id 1 in
+      Unix.mkdir (Job.failed_path ~state_dir ~id) 0o755;
+      Alcotest.(check string) "blocked id is next" id (submit deadlined);
+      ignore (await "failed" id : Protocol.event);
+      (match Client.request c (Protocol.Status id) with
+      | Protocol.Job_status { state; _ } ->
+          Alcotest.(check string) "status" "failed" state
+      | _ -> Alcotest.fail "expected job status");
+      match Client.request c (Protocol.Result id) with
+      | Protocol.Error_reply { code; message } ->
+          Alcotest.(check string) "code" "job_failed" code;
+          Alcotest.(check bool) "detail names the deadline" true
+            (Tutil.contains_substring message "deadline of 0.05s exceeded")
+      | _ -> Alcotest.fail "expected a job_failed error")
 
 let test_daemon_rejects_second_instance () =
   with_temp_dir "rbb_e2e_lock" (fun dir ->
@@ -1077,6 +1146,10 @@ let suite =
         Tutil.quick "end to end" test_daemon_end_to_end;
         Tutil.quick "failed jobs stay failed" test_daemon_failed_job_is_durable;
         Tutil.quick "deadlines fail and are counted" test_daemon_deadline;
+        Tutil.quick "finished jobs answer from their records"
+          test_daemon_answers_from_records;
+        Tutil.quick "a failure without its marker is still reported"
+          test_daemon_failure_without_marker;
         Tutil.quick "state dir is exclusive" test_daemon_rejects_second_instance;
       ] );
   ]
