@@ -102,6 +102,34 @@ threshold=$(grep -o 'legitimacy threshold   : [0-9]*' "$tracedir/counts.out" | g
 [ "$counts_max" -le "$threshold" ] && [ "$balls_max" -le "$threshold" ] \
   || { echo "check.sh: an engine left the legitimate band (counts $counts_max, balls $balls_max, threshold $threshold)"; exit 1; }
 
+# Checkpoints of more than one loads record: pinned bytes (cksum) for
+# runs whose loads span two full 4096-bin records and a short tail —
+# counts with its telemetry counter records, per-ball, and m != n with
+# multi-digit loads — and a counts resume from round 30 that must match
+# the uninterrupted 60-round file.
+pinned_sum() {
+  got=$(cksum < "$tracedir/$1")
+  [ "$got" = "$2" ] \
+    || { echo "check.sh: $1 bytes changed (cksum $got, pinned $2)"; exit 1; }
+}
+"$rbb" simulate --bins 10000 --rounds 60 --seed 7 --engine counts \
+  --telemetry-json "$tracedir/multi.json" --checkpoint "$tracedir/multi_counts.ckpt" > /dev/null
+pinned_sum multi_counts.ckpt "525936404 20628"
+"$rbb" simulate --bins 10000 --rounds 60 --seed 7 \
+  --checkpoint "$tracedir/multi_balls.ckpt" > /dev/null
+pinned_sum multi_balls.ckpt "166941964 20490"
+"$rbb" simulate --bins 9000 --balls 36000 --rounds 30 --seed 7 --engine counts \
+  --checkpoint "$tracedir/multi_mn.ckpt" > /dev/null
+pinned_sum multi_mn.ckpt "1006085219 19230"
+"$rbb" simulate --bins 10000 --rounds 30 --seed 7 --engine counts \
+  --checkpoint "$tracedir/multi_30.ckpt" > /dev/null
+"$rbb" simulate --rounds 60 --resume-from "$tracedir/multi_30.ckpt" \
+  --checkpoint "$tracedir/multi_resumed.ckpt" > /dev/null
+"$rbb" simulate --bins 10000 --rounds 60 --seed 7 --engine counts \
+  --checkpoint "$tracedir/multi_60.ckpt" > /dev/null
+cmp -s "$tracedir/multi_resumed.ckpt" "$tracedir/multi_60.ckpt" \
+  || { echo "check.sh: multi-record counts resume diverged from the uninterrupted run"; exit 1; }
+
 # m != n smoke: both engines at m = 4n, a checkpoint/resume byte
 # comparison at m != n, and a recover run whose m-aware threshold makes
 # relegitimization reachable (the old n-only threshold sat below the

@@ -46,10 +46,22 @@ let load t u =
     invalid_arg "Config.load: bin out of range";
   t.loads.(u)
 
-let max_load t = Array.fold_left Stdlib.max 0 t.loads
+(* Plain loops: both run on every engine's create and restore, over
+   all n bins. *)
+let max_load t =
+  let m = ref 0 in
+  for u = 0 to Array.length t.loads - 1 do
+    let q = t.loads.(u) in
+    if q > !m then m := q
+  done;
+  !m
 
 let empty_bins t =
-  Array.fold_left (fun acc q -> if q = 0 then acc + 1 else acc) 0 t.loads
+  let e = ref 0 in
+  for u = 0 to Array.length t.loads - 1 do
+    if t.loads.(u) = 0 then incr e
+  done;
+  !e
 
 let nonempty_bins t = n t - empty_bins t
 

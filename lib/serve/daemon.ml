@@ -316,13 +316,9 @@ let metrics_body t =
 (* Requests ------------------------------------------------------------ *)
 
 let read_result t id =
-  let path = Job.result_path ~state_dir:t.cfg.state_dir ~id in
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> try Some (input_line ic) with End_of_file -> None)
+  match Job.first_line (Job.result_path ~state_dir:t.cfg.state_dir ~id) with
+  | `Line body -> Some body
+  | `Missing _ | `Empty | `Unreadable _ -> None
 
 let result_rounds body =
   match Jsonl.parse body with

@@ -78,37 +78,45 @@ let write_failed ~state_dir ~id ~round ~detail =
       output_string oc line;
       output_char oc '\n')
 
+(* Record files are read by their first line.  A path that opens may
+   still fail to read — a directory opens, then raises [Sys_error] on
+   read — and that is an unreadable body, not a missing record. *)
+let first_line path =
+  match open_in path with
+  | exception Sys_error e -> `Missing e
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match input_line ic with
+          | line -> `Line line
+          | exception End_of_file -> `Empty
+          | exception Sys_error e -> `Unreadable e)
+
 let read_failed ~state_dir ~id =
-  match open_in (failed_path ~state_dir ~id) with
-  | exception Sys_error _ -> None
-  | ic -> (
-      let line =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> try Some (input_line ic) with End_of_file -> None)
-      in
-      (* The marker's presence is the fact; its fields are best-effort
-         detail, so an unreadable body still reads as a failure. *)
-      match Option.bind line Jsonl.parse with
-      | None -> Some (0, "failed (unreadable failure marker)")
+  (* The marker's presence is the fact; its fields are best-effort
+     detail, so an unreadable body still reads as a failure. *)
+  let unreadable = Some (0, "failed (unreadable failure marker)") in
+  match first_line (failed_path ~state_dir ~id) with
+  | `Missing _ -> None
+  | `Empty | `Unreadable _ -> unreadable
+  | `Line line -> (
+      match Jsonl.parse line with
+      | None -> unreadable
       | Some fields ->
           Some
             ( Option.value ~default:0 (Jsonl.find_int fields "round"),
               Option.value ~default:"" (Jsonl.find_string fields "error") ))
 
 let load_spec ~path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic -> (
-      let line =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> try Some (input_line ic) with End_of_file -> None)
-      in
-      match Option.map Jsonl.parse line with
-      | None -> Error (Printf.sprintf "%s: empty spec file" path)
-      | Some None -> Error (Printf.sprintf "%s: unparseable spec" path)
-      | Some (Some fields) -> (
+  match first_line path with
+  | `Missing e -> Error e
+  | `Empty -> Error (Printf.sprintf "%s: empty spec file" path)
+  | `Unreadable e -> Error (Printf.sprintf "%s: unreadable spec file (%s)" path e)
+  | `Line line -> (
+      match Jsonl.parse line with
+      | None -> Error (Printf.sprintf "%s: unparseable spec" path)
+      | Some fields -> (
           match
             (Jsonl.find_string fields "schema", Jsonl.find_string fields "id")
           with

@@ -56,6 +56,12 @@ val write_failed :
 (** Publish [<id>.failed] atomically: the job's durable failure record
     ([round] is the last checkpointed round the run reached). *)
 
+val first_line :
+  string -> [ `Missing of string | `Empty | `Unreadable of string | `Line of string ]
+(** The first line of a record file, without its newline.  [`Missing]
+    when the path cannot be opened; [`Unreadable] when it opens but
+    reading fails (a directory opens, then fails on read). *)
+
 val read_failed : state_dir:string -> id:string -> (int * string) option
 (** [(round, detail)] from the failure marker, if one exists.  An
     existing but unreadable marker still counts as a failure (with

@@ -21,7 +21,19 @@ open Rbb_core
    preceding byte (detects corruption: a single flipped bit anywhere in
    the file surfaces as a load error instead of a silently different
    resumed trajectory).  Trailer-less files from before the CRC are
-   still accepted — with a warning — so old checkpoints stay loadable. *)
+   still accepted — with a warning — so old checkpoints stay loadable.
+
+   The loads records, one per 4096 bins, are nearly all of a file's
+   bytes, so they skip Jsonl on both sides.  [save] writes each one's
+   digits straight into one reused buffer, in the exact text Jsonl.obj
+   would render (sorted keys; digits and spaces need no escaping), and
+   checksums and outputs it once.  [load] scans a loads record that is
+   exactly in that canonical form straight into the load vector; every
+   other line — header, rng, counters, end, and any loads record
+   spelled differently or malformed — goes through Jsonl.parse and the
+   generic record checks, which alone produce error text.  So the
+   bytes of every file and the verdict on every file, down to its error
+   message, are those of the all-Jsonl codec. *)
 
 let schema = "rbb.checkpoint/1"
 
@@ -97,19 +109,31 @@ let of_hex s =
    values are one space-separated string field. *)
 let chunk = 4096
 
+(* The fixed text of a loads record around its count, off and values,
+   keys in Jsonl's sorted order. *)
+let loads_head = {|{"count":|}
+let loads_off = {|,"off":|}
+let loads_values = {|,"type":"loads","values":"|}
+let loads_tail = {|"}|}
+
+(* The decimal digits of a load (nonnegative: Config's invariant). *)
+let rec add_decimal b v =
+  if v >= 10 then add_decimal b (v / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (v mod 10)))
+
 let save ~path snap =
   let loads = Config.unsafe_loads snap.config in
   let n = Array.length loads in
   Fileio.write_atomic ~path (fun oc ->
       let records = ref 0 in
       let crc = ref Integrity.start in
-      let line fields =
-        let s = Jsonl.obj fields in
-        crc := Integrity.feed_char (Integrity.feed !crc s) '\n';
+      (* One newline-terminated record, checksummed and written. *)
+      let record s =
+        crc := Integrity.feed !crc s;
         output_string oc s;
-        output_char oc '\n';
         incr records
       in
+      let line fields = record (Jsonl.obj fields ^ "\n") in
       (* "engine_kind" appears only for counts checkpoints, so every
          balls checkpoint stays byte-identical to the pre-counts
          format (readers default a missing field to Balls). *)
@@ -137,21 +161,23 @@ let save ~path snap =
         :: ("type", Jsonl.String "rng")
         :: List.init (Array.length words) (fun i ->
                (Printf.sprintf "w%d" i, Jsonl.String (hex words.(i)))));
+      let b = Buffer.create 16384 in
       let off = ref 0 in
       while !off < n do
         let count = Stdlib.min chunk (n - !off) in
-        let b = Buffer.create (count * 3) in
-        for i = 0 to count - 1 do
-          if i > 0 then Buffer.add_char b ' ';
-          Buffer.add_string b (string_of_int loads.(!off + i))
+        Buffer.clear b;
+        Buffer.add_string b loads_head;
+        add_decimal b count;
+        Buffer.add_string b loads_off;
+        add_decimal b !off;
+        Buffer.add_string b loads_values;
+        for i = !off to !off + count - 1 do
+          if i > !off then Buffer.add_char b ' ';
+          add_decimal b loads.(i)
         done;
-        line
-          [
-            ("count", Jsonl.Int count);
-            ("off", Jsonl.Int !off);
-            ("type", Jsonl.String "loads");
-            ("values", Jsonl.String (Buffer.contents b));
-          ];
+        Buffer.add_string b loads_tail;
+        Buffer.add_char b '\n';
+        record (Buffer.contents b);
         off := !off + count
       done;
       List.iter
@@ -164,7 +190,7 @@ let save ~path snap =
             ])
         snap.counters;
       (* The trailer checksums everything above it, so it cannot go
-         through [line] (which would fold it into its own digest). *)
+         through [record] (which would fold it into its own digest). *)
       output_string oc
         (Jsonl.obj
            [
@@ -206,6 +232,71 @@ let field_hex fields key =
   match of_hex s with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "checkpoint: field %S is not a hex int64" key)
+
+exception Not_canonical
+
+(* The loads scanner's steps, each on [line] at [pos]: the position
+   after the literal [lit], and an unsigned decimal of 1 to 17 digits
+   with the position after it. *)
+let literal line pos lit =
+  let k = String.length lit in
+  if pos + k > String.length line then raise Not_canonical;
+  for j = 0 to k - 1 do
+    if String.unsafe_get line (pos + j) <> String.unsafe_get lit j then
+      raise Not_canonical
+  done;
+  pos + k
+
+let number line pos =
+  let stop = ref pos in
+  while
+    !stop < String.length line
+    && match String.unsafe_get line !stop with '0' .. '9' -> true | _ -> false
+  do
+    incr stop
+  done;
+  if !stop = pos || !stop - pos > 17 then raise Not_canonical;
+  (int_of_string (String.sub line pos (!stop - pos)), !stop)
+
+(* A loads record exactly as [save] writes it — the fixed text around
+   its numbers, unsigned decimals of at most 17 digits (so no sum below
+   overflows), values separated by single spaces, nothing after the
+   closing brace — is read straight into [loads], and its count
+   returned; anything else raises [Not_canonical].  Slots written
+   before a line is given up do no harm: the generic path reads the
+   same count and off from the same first keys, so it either rewrites
+   those slots or fails the load. *)
+let claim_loads loads line =
+  let len = String.length line in
+  let count, pos = number line (literal line 0 loads_head) in
+  let off, pos = number line (literal line pos loads_off) in
+  let pos = literal line pos loads_values in
+  if off + count > Array.length loads then raise Not_canonical;
+  (* One pass over the values: a space ends a value and the closing
+     quote ends the last one, after 1 to 17 digits each. *)
+  let p = ref pos and start = ref pos and i = ref off and v = ref 0 in
+  while !i < off + count do
+    match if !p < len then String.unsafe_get line !p else '\000' with
+    | '0' .. '9' as c ->
+        v := (!v * 10) + (Char.code c - 48);
+        incr p
+    | (' ' | '"') as c ->
+        if
+          !p = !start
+          || !p - !start > 17
+          || (c = '"') <> (!i + 1 = off + count)
+        then raise Not_canonical;
+        loads.(!i) <- !v;
+        incr i;
+        v := 0;
+        if c = ' ' then begin
+          incr p;
+          start := !p
+        end
+    | _ -> raise Not_canonical
+  done;
+  if literal line !p loads_tail <> len then raise Not_canonical;
+  count
 
 let parse_line st lineno line =
   if st.finished then Error "checkpoint: content after end record"
@@ -342,6 +433,21 @@ let parse_line st lineno line =
               Ok ()
         | other -> Error (Printf.sprintf "checkpoint: unknown record type %S" other))
 
+(* A line of the file: once a header has sized the load vector, a
+   canonical loads record is claimed with the same bookkeeping as
+   [parse_line]'s; every other line goes to [parse_line]. *)
+let load_line st lineno line =
+  match st.loads with
+  | Some loads when not st.finished -> (
+      match claim_loads loads line with
+      | count ->
+          st.lines <- st.lines + 1;
+          st.crc <- Integrity.feed_char (Integrity.feed st.crc line) '\n';
+          st.filled <- st.filled + count;
+          Ok ()
+      | exception Not_canonical -> parse_line st lineno line)
+  | _ -> parse_line st lineno line
+
 let finish st =
   if not st.finished then Error "checkpoint: missing end record (truncated file?)"
   else
@@ -351,31 +457,34 @@ let finish st =
     | ( Some (n, balls, d_choices, capacity, master, round, kind),
         Some rng,
         Some loads ) ->
-        if st.filled <> n || Array.exists (fun v -> v < 0) loads then
-          Error "checkpoint: incomplete load vector"
-        else
-          let config = Config.of_array loads in
-          if Config.balls config <> balls then
-            Error "checkpoint: ball count disagrees with load vector"
-          else if round < 0 || d_choices < 1 || capacity < 1 then
-            Error "checkpoint: invalid header parameters"
-          else begin
-            match Rbb_prng.Rng.of_snapshot rng with
-            | exception Invalid_argument msg ->
-                Error (Printf.sprintf "checkpoint: invalid rng state (%s)" msg)
-            | _ ->
-                Ok
-                  {
-                    round;
-                    config;
-                    rng;
-                    master;
-                    kind;
-                    d_choices;
-                    capacity;
-                    counters = List.rev st.ctrs;
-                  }
-          end
+        (* A slot no record filled still holds -1, the one load
+           [Config.of_array] rejects. *)
+        match Config.of_array loads with
+        | exception Invalid_argument _ ->
+            Error "checkpoint: incomplete load vector"
+        | _ when st.filled <> n -> Error "checkpoint: incomplete load vector"
+        | config ->
+            if Config.balls config <> balls then
+              Error "checkpoint: ball count disagrees with load vector"
+            else if round < 0 || d_choices < 1 || capacity < 1 then
+              Error "checkpoint: invalid header parameters"
+            else begin
+              match Rbb_prng.Rng.of_snapshot rng with
+              | exception Invalid_argument msg ->
+                  Error (Printf.sprintf "checkpoint: invalid rng state (%s)" msg)
+              | _ ->
+                  Ok
+                    {
+                      round;
+                      config;
+                      rng;
+                      master;
+                      kind;
+                      d_choices;
+                      capacity;
+                      counters = List.rev st.ctrs;
+                    }
+            end
 
 let load ?(on_warning = fun (_ : string) -> ()) ~path () =
   match open_in path with
@@ -398,7 +507,7 @@ let load ?(on_warning = fun (_ : string) -> ()) ~path () =
         match input_line ic with
         | exception End_of_file -> finish st
         | line -> (
-            match parse_line st lineno line with
+            match load_line st lineno line with
             | Ok () -> go (lineno + 1)
             | Error _ as e -> e)
       in

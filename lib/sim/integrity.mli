@@ -8,10 +8,12 @@
     published name; the CRC closes the {e corruption} gap — disk rot,
     a hostile editor, a chaos campaign.)
 
-    The state is a plain immutable value, so incremental line-by-line
-    feeding needs no allocation discipline and checksums are trivially
-    reproducible: the same byte stream always folds to the same
-    digest, on every platform. *)
+    The state is a plain immutable native int, so incremental
+    line-by-line feeding needs no allocation discipline and checksums
+    are trivially reproducible: the same byte stream always folds to
+    the same digest, on every platform.  {!feed} is table-driven
+    slicing-by-8: eight bytes per step on native ints, so checksumming
+    a 2 MB checkpoint costs a few milliseconds. *)
 
 type t
 (** Running checksum state over the bytes fed so far. *)

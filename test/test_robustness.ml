@@ -210,6 +210,125 @@ let checkpoint_roundtrip () =
       let read f = In_channel.with_open_bin f In_channel.input_all in
       Alcotest.(check string) "canonical bytes" (read path) (read path2)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The codec's bytes, pinned: length and MD5 of the files of three fixed
+   states — a per-ball run with a telemetry counter, a counts run whose
+   loads span two full records and a 5-bin tail, and a counts run at
+   m <> n with four-digit loads.  Loading each file and saving it again
+   must reproduce it byte for byte. *)
+let checkpoint_golden_bytes () =
+  let per_ball =
+    let p =
+      Process.create ~d_choices:2 ~rng:(mk_rng 11L)
+        ~init:(Config.uniform ~n:300) ()
+    in
+    Process.run p ~rounds:23;
+    let tel = Telemetry.create () in
+    Telemetry.add tel "golden.counter" 5;
+    Checkpoint.capture_process ~telemetry:tel p
+  in
+  let counts ~init ~rounds =
+    let c = Counts_process.create ~rng:(mk_rng 12L) ~init () in
+    Counts_process.run c ~rounds;
+    Checkpoint.capture_counts c
+  in
+  List.iter
+    (fun (name, snap, golden) ->
+      let path = temp_path ".ckpt" in
+      Checkpoint.save ~path snap;
+      let bytes = read_file path in
+      Alcotest.(check (pair int string))
+        (name ^ ": length and md5") golden
+        (String.length bytes, Digest.to_hex (Digest.string bytes));
+      match Checkpoint.load ~path () with
+      | Error e -> Alcotest.failf "%s: load: %s" name e
+      | Ok snap' ->
+          let again = temp_path ".ckpt" in
+          Checkpoint.save ~path:again snap';
+          Alcotest.(check string) (name ^ ": load then save") bytes
+            (read_file again))
+    [
+      ("per-ball, n = 300", per_ball, (1033, "5de14fb4d01ca2c119bbbdfd6f3398cb"));
+      ( "counts, two records and a tail",
+        counts ~init:(Config.uniform ~n:((2 * 4096) + 5)) ~rounds:40,
+        (16901, "5ff216804b4bd3ed7be908db31ac4ad3") );
+      ( "counts, m <> n",
+        counts ~init:(Config.balanced ~n:1000 ~m:1_234_567) ~rounds:7,
+        (5408, "0fd34b39946e9399d7abacccd93e8b64") );
+    ]
+
+(* The loader's answer to malformed and non-canonical loads records, at
+   n = 3.  The files carry no integrity trailer (an end record without
+   crc32), so each case is a hand-written record, and a file that loads
+   does so with the unverified-content warning. *)
+let checkpoint_loads_records () =
+  let p = Process.create ~rng:(mk_rng 13L) ~init:(Config.uniform ~n:3) () in
+  let path = temp_path ".ckpt" in
+  Checkpoint.save ~path (Checkpoint.capture_process p);
+  let header, rng =
+    match String.split_on_char '\n' (read_file path) with
+    | header :: rng :: _ -> (header, rng)
+    | _ -> Alcotest.fail "a checkpoint has a header and an rng record"
+  in
+  let loads ?(count = 3) ?(off = 0) values =
+    Printf.sprintf {|{"count":%d,"off":%d,"type":"loads","values":"%s"}|}
+      count off values
+  in
+  let prefix = {|{"balls":3,|} in
+  let k = String.length prefix in
+  if String.sub header 0 k <> prefix then
+    Alcotest.failf "unexpected header %s" header;
+  (* [records] lays out the file around its header (whose ball count is
+     patched to [balls]); a trailer-less end record closes it. *)
+  let file ?(balls = 3) records =
+    let lines =
+      records
+        (Printf.sprintf {|{"balls":%d,%s|} balls
+           (String.sub header k (String.length header - k)))
+    in
+    lines @ [ Printf.sprintf {|{"records":%d,"type":"end"}|} (List.length lines) ]
+  in
+  let outcome lines =
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
+    let warned = ref false in
+    match Checkpoint.load ~on_warning:(fun _ -> warned := true) ~path () with
+    | Error e -> Error e
+    | Ok snap when !warned -> Ok (Config.loads snap.Checkpoint.config)
+    | Ok _ -> Alcotest.fail "a trailer-less file must load with the warning"
+  in
+  let check name ?balls records expected =
+    Alcotest.(check (result (array int) string))
+      name expected
+      (outcome (file ?balls records))
+  in
+  let body line header = [ header; rng; line ] in
+  let fails name line err = check name (body line) (Error ("checkpoint: " ^ err)) in
+  fails "two spaces" (loads "1  1") "non-integer load value";
+  fails "too few values" (loads "1 1") "loads chunk count mismatch";
+  fails "too many values" (loads "1 1 1 0") "loads chunk count mismatch";
+  fails "trailing space" (loads "1 1 1 ") "loads chunk count mismatch";
+  fails "negative value" (loads "-1 2 2") "non-integer load value";
+  fails "junk after digits" (loads "1x 1 1") "non-integer load value";
+  fails "20-digit value" (loads "1 1 12345678901234567890")
+    "non-integer load value";
+  fails "chunk past the end" (loads ~off:1 "1 1 1") "loads chunk out of range";
+  fails "empty chunk" (loads ~count:0 "") "incomplete load vector";
+  check "loads before header"
+    (fun header -> [ loads "1 1 1"; header; rng ])
+    (Error "checkpoint: loads before header");
+  check "OCaml integer literals" ~balls:12
+    (body (loads "+1 0x1 1_0"))
+    (Ok [| 1; 1; 10 |]);
+  check "leading zeros" (body (loads "001 01 1")) (Ok [| 1; 1; 1 |]);
+  check "keys reordered"
+    (body {|{"values":"2 0 1","type":"loads","off":0,"count":3}|})
+    (Ok [| 2; 0; 1 |]);
+  check "spaces inside the object"
+    (body {|{ "count": 3, "off": 0, "type": "loads", "values": "0 3 0" }|})
+    (Ok [| 0; 3; 0 |])
+
 let checkpoint_rejects_weighted () =
   let n = 64 in
   let weights = Array.init n (fun i -> 1.0 +. float_of_int (i mod 3)) in
@@ -738,6 +857,8 @@ let suite =
         Tutil.quick "checkpoint: round-trip" checkpoint_roundtrip;
         Tutil.quick "checkpoint: rejects weighted" checkpoint_rejects_weighted;
         Tutil.quick "checkpoint: load errors" checkpoint_load_errors;
+        Tutil.quick "checkpoint: golden bytes" checkpoint_golden_bytes;
+        Tutil.quick "checkpoint: loads records" checkpoint_loads_records;
         Tutil.quick "resume: Process golden" resume_process_golden;
         Tutil.quick "resume: Sharded golden (cross-engine)" resume_sharded_golden;
         Tutil.prop "resume: bit-identical (both engines)" ~count:25

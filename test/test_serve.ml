@@ -920,8 +920,9 @@ let test_daemon_failed_job_is_durable () =
 
 (* A daemon on a fresh state directory, with a client and a subscriber
    to every job's events.  [f] submits through [submit] (which expects
-   an accept) and waits for one job's event of a kind through [await]. *)
-let with_daemon prefix f =
+   an accept) and waits for one job's event of a kind through [await];
+   [after] runs once the daemon has exited, on its configuration. *)
+let with_daemon ?(after = fun (_ : Daemon.config) -> ()) prefix f =
   with_temp_dir prefix (fun dir ->
       let socket = Filename.concat dir "d.sock" in
       let state_dir = Filename.concat dir "state" in
@@ -944,7 +945,8 @@ let with_daemon prefix f =
       Client.shutdown c;
       Client.close c;
       Client.close sub;
-      Domain.join daemon)
+      Domain.join daemon;
+      after cfg)
 
 (* Far more rounds than 0.05 s allows: only the watchdog ends it. *)
 let deadlined = spec ~n:4096 ~rounds:10_000_000 ~deadline_s:0.05 ()
@@ -1049,10 +1051,30 @@ let test_daemon_answers_from_records () =
 
 (* A failure whose .failed marker cannot be written (a directory holds
    its path, so the rename fails) is kept in the table and reported
-   until the daemon exits. *)
+   until the daemon exits.  A daemon restarted on the same state
+   directory reads that directory as an unreadable marker, and a
+   directory at a spec's path as an unreadable spec: both jobs read as
+   failed, and the daemon keeps serving. *)
 let test_daemon_failure_without_marker () =
-  with_daemon "rbb_e2e_nomarker" (fun ~state_dir c ~submit ~await ->
-      let id = Job.fresh_id 1 in
+  let id = Job.fresh_id 1 and spec_dir = Job.fresh_id 2 in
+  let restart (cfg : Daemon.config) =
+    Unix.mkdir (Job.spec_path ~state_dir:cfg.state_dir ~id:spec_dir) 0o755;
+    let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+    let c = Client.connect ~socket:cfg.socket () in
+    List.iter
+      (fun id ->
+        match Client.request c (Protocol.Status id) with
+        | Protocol.Job_status { state; _ } ->
+            Alcotest.(check string) (id ^ " after restart") "failed" state
+        | _ -> Alcotest.fail "expected job status")
+      [ id; spec_dir ];
+    Client.ping c;
+    Client.shutdown c;
+    Client.close c;
+    Domain.join daemon
+  in
+  with_daemon ~after:restart "rbb_e2e_nomarker"
+    (fun ~state_dir c ~submit ~await ->
       Unix.mkdir (Job.failed_path ~state_dir ~id) 0o755;
       Alcotest.(check string) "blocked id is next" id (submit deadlined);
       ignore (await "failed" id : Protocol.event);
