@@ -1222,8 +1222,9 @@ let trace_report_cmd =
       value & flag
       & info [ "follow" ]
           ~doc:
-            "Tail the trace as it is being written (torn-tail tolerant \
-             incremental reads); report once the writer goes idle.")
+            "Fold the trace with torn-tail tolerant incremental reads \
+             until its writer goes idle, then report.  Traces written by \
+             $(b,rbb simulate) appear only when the run ends.")
   in
   let doc =
     "Summarise a recorded NDJSON trace: observable extrema, legitimacy \

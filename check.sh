@@ -315,4 +315,16 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
     || { echo "check.sh: perfbench $workload failed its gates"; exit 1; }
 done
 
+# Orphan guard: every lib/ module must be named by some .ml under bin/,
+# bench/, perfbench/, examples/ or the rest of lib/, so no module lives
+# on for its own tests alone.  Gof and Hitting are exempt: they are the
+# references the tests compare the engines against.
+for f in lib/*/*.ml; do
+  m=$(basename "$f" .ml)
+  M="$(printf %s "${m:0:1}" | tr a-z A-Z)${m:1}"
+  case "$M" in Gof | Hitting) continue ;; esac
+  grep -rqw --include='*.ml' --exclude="$m.ml" "$M" bin bench perfbench examples lib \
+    || { echo "check.sh: $f has no caller outside test/"; exit 1; }
+done
+
 echo "check.sh: all green"

@@ -22,38 +22,20 @@ type t = {
 let block_bits = 12
 let () = assert (1 lsl block_bits = Process.shard_size)
 
-let create ?(capacity = 1) ~rng ~init () =
-  if capacity < 1 then invalid_arg "Counts_process.create: capacity < 1";
+(* [create] is [make] at round 0 with a master key drawn from the
+   creation rng; [restore] passes the checkpointed key and round. *)
+let make ~capacity ~rng ~master ~round ~init ~who =
+  if capacity < 1 then invalid_arg (who ^ ": capacity < 1");
   let loads = Config.loads init in
-  let master = Process.shard_master rng in
+  let blocks = Process.shard_count ~bins:(Array.length loads) in
   {
     rng;
     master;
     capacity;
     loads;
     arrivals = Array.make (Array.length loads) 0;
-    block_in = Array.make (Process.shard_count ~bins:(Array.length loads)) 0;
-    block_out = Array.make (Process.shard_count ~bins:(Array.length loads)) 0;
-    block_out_valid = false;
-    pool = Rbb_prng.Multinomial.create rng;
-    m = Config.balls init;
-    round = 0;
-    max_load = Config.max_load init;
-    empty = Config.empty_bins init;
-  }
-
-let restore ?(capacity = 1) ~rng ~master ~round ~init () =
-  if capacity < 1 then invalid_arg "Counts_process.restore: capacity < 1";
-  if round < 0 then invalid_arg "Counts_process.restore: round < 0";
-  let loads = Config.loads init in
-  {
-    rng;
-    master;
-    capacity;
-    loads;
-    arrivals = Array.make (Array.length loads) 0;
-    block_in = Array.make (Process.shard_count ~bins:(Array.length loads)) 0;
-    block_out = Array.make (Process.shard_count ~bins:(Array.length loads)) 0;
+    block_in = Array.make blocks 0;
+    block_out = Array.make blocks 0;
     block_out_valid = false;
     pool = Rbb_prng.Multinomial.create rng;
     m = Config.balls init;
@@ -61,6 +43,14 @@ let restore ?(capacity = 1) ~rng ~master ~round ~init () =
     max_load = Config.max_load init;
     empty = Config.empty_bins init;
   }
+
+let create ?(capacity = 1) ~rng ~init () =
+  let master = Process.shard_master rng in
+  make ~capacity ~rng ~master ~round:0 ~init ~who:"Counts_process.create"
+
+let restore ?(capacity = 1) ~rng ~master ~round ~init () =
+  if round < 0 then invalid_arg "Counts_process.restore: round < 0";
+  make ~capacity ~rng ~master ~round ~init ~who:"Counts_process.restore"
 
 let n t = Array.length t.loads
 let balls t = t.m

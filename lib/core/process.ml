@@ -32,21 +32,25 @@ let shard_bounds ~bins ~shard =
 
 let shard_master rng = Rbb_prng.Splitmix64.mix (Rbb_prng.Rng.next_u64 rng)
 
-let create ?(d_choices = 1) ?weights ?(capacity = 1) ~rng ~init () =
-  if d_choices < 1 then invalid_arg "Process.create: d_choices < 1";
-  if capacity < 1 then invalid_arg "Process.create: capacity < 1";
+(* The one constructor: [create] is [make] at round 0 with a master key
+   drawn from the creation rng, [restore] is [make] with the
+   checkpointed key and round, so no randomness is consumed.  Combined
+   with a [Rbb_prng.Rng.of_snapshot] generator this reproduces the state
+   of a process that ran [round] rounds, bit for bit. *)
+let make ~d_choices ~weights ~capacity ~rng ~master ~round ~init ~who =
+  if d_choices < 1 then invalid_arg (who ^ ": d_choices < 1");
+  if capacity < 1 then invalid_arg (who ^ ": capacity < 1");
   let loads = Config.loads init in
   let weights =
     match weights with
     | None -> None
     | Some w ->
         if d_choices > 1 then
-          invalid_arg "Process.create: weights and d_choices cannot be combined";
+          invalid_arg (who ^ ": weights and d_choices cannot be combined");
         if Array.length w <> Array.length loads then
-          invalid_arg "Process.create: weights length differs from bin count";
+          invalid_arg (who ^ ": weights length differs from bin count");
         Some (Rbb_prng.Alias.create w)
   in
-  let master = shard_master rng in
   {
     rng;
     master;
@@ -56,34 +60,20 @@ let create ?(d_choices = 1) ?weights ?(capacity = 1) ~rng ~init () =
     loads;
     arrivals = Array.make (Array.length loads) 0;
     m = Config.balls init;
-    round = 0;
-    max_load = Config.max_load init;
-    empty = Config.empty_bins init;
-  }
-
-(* Rebuild a process mid-trajectory: same fields as [create], but the
-   master key and round counter come from a checkpoint instead of being
-   drawn/zeroed, so no randomness is consumed.  Combined with a
-   [Rbb_prng.Rng.of_snapshot] generator this reproduces the state of a
-   process that ran [round] rounds, bit for bit. *)
-let restore ?(d_choices = 1) ?(capacity = 1) ~rng ~master ~round ~init () =
-  if d_choices < 1 then invalid_arg "Process.restore: d_choices < 1";
-  if capacity < 1 then invalid_arg "Process.restore: capacity < 1";
-  if round < 0 then invalid_arg "Process.restore: round < 0";
-  let loads = Config.loads init in
-  {
-    rng;
-    master;
-    d = d_choices;
-    weights = None;
-    capacity;
-    loads;
-    arrivals = Array.make (Array.length loads) 0;
-    m = Config.balls init;
     round;
     max_load = Config.max_load init;
     empty = Config.empty_bins init;
   }
+
+let create ?(d_choices = 1) ?weights ?(capacity = 1) ~rng ~init () =
+  let master = shard_master rng in
+  make ~d_choices ~weights ~capacity ~rng ~master ~round:0 ~init
+    ~who:"Process.create"
+
+let restore ?(d_choices = 1) ?(capacity = 1) ~rng ~master ~round ~init () =
+  if round < 0 then invalid_arg "Process.restore: round < 0";
+  make ~d_choices ~weights:None ~capacity ~rng ~master ~round ~init
+    ~who:"Process.restore"
 
 let n t = Array.length t.loads
 let balls t = t.m

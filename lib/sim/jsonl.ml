@@ -188,14 +188,14 @@ let parse line =
   with Bad -> None
 
 (* Incremental / following reader.  A tail remembers a byte offset into
-   a file that some other process (a live tracer, the serve daemon's
-   event log) may still be appending to.  Each poll delivers only the
-   *complete* lines that have appeared since the previous poll: bytes
-   after the last newline are a torn tail — the writer is mid-line (or
-   died mid-line) — and are left on disk to be retried from the same
-   offset next time.  The file is reopened on every poll, so the tail
-   survives the file not existing yet and never holds a descriptor
-   open between polls. *)
+   a file that some other process (the serve daemon's event log) may
+   still be appending to.  Each poll delivers only the *complete* lines
+   that have appeared since the previous poll: bytes after the last
+   newline are a torn tail — the writer is mid-line (or died mid-line)
+   — and are left on disk to be retried from the same offset next
+   time.  The file is reopened on every poll, so the tail survives the
+   file not existing yet and never holds a descriptor open between
+   polls. *)
 
 type tail = { t_path : string; mutable t_offset : int }
 
@@ -245,26 +245,6 @@ let tail_pending t =
       | Some last when last + 1 < String.length chunk ->
           Some (String.sub chunk (last + 1) (String.length chunk - last - 1))
       | Some _ -> None)
-
-let fold_follow ?(poll_interval_s = 0.05) ?(idle_polls = 3) ~path ~init ~f
-    ~finish () =
-  if poll_interval_s < 0. then
-    invalid_arg "Jsonl.fold_follow: poll_interval_s must be nonnegative";
-  if idle_polls < 1 then
-    invalid_arg "Jsonl.fold_follow: idle_polls must be at least 1";
-  let t = tail path in
-  let acc = ref init in
-  let quiet = ref 0 in
-  while !quiet < idle_polls do
-    (match tail_poll t with
-    | [] ->
-        incr quiet;
-        if !quiet < idle_polls then Unix.sleepf poll_interval_s
-    | lines ->
-        quiet := 0;
-        List.iter (fun line -> acc := f !acc line) lines)
-  done;
-  finish !acc (tail_pending t)
 
 (* Typed field accessors over a parsed object. *)
 

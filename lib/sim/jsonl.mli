@@ -30,16 +30,16 @@ val parse : string -> (string * value) list option
 
 (** {2 Following a live file}
 
-    An NDJSON file being appended to by a running process (a live
-    tracer stream, the serve daemon's event log) can be read
-    incrementally: a {!tail} remembers a byte offset and each
-    {!tail_poll} delivers exactly the {e complete} lines appended since
-    the previous poll.  Bytes after the last newline are a torn tail —
-    the writer is mid-line, or died mid-line — and are deliberately not
-    delivered: they stay on disk and the next poll retries from the
-    same offset, the same tolerance {!Trace_report} applies to a
-    truncated final line.  The file is reopened on every poll, so a
-    tail may be created before the file exists. *)
+    An NDJSON file being appended to by a running process (the serve
+    daemon's event log) can be read incrementally: a {!tail} remembers
+    a byte offset and each {!tail_poll} delivers exactly the
+    {e complete} lines appended since the previous poll.  Bytes after
+    the last newline are a torn tail — the writer is mid-line, or died
+    mid-line — and are deliberately not delivered: they stay on disk
+    and the next poll retries from the same offset, the same tolerance
+    {!Trace_report} applies to a truncated final line.  The file is
+    reopened on every poll, so a tail may be created before the file
+    exists. *)
 
 type tail
 
@@ -59,25 +59,6 @@ val tail_pending : tail -> string option
 (** The unterminated bytes past the offset right now, if any — the torn
     tail a reader may want to inspect once it knows the writer has
     stopped. *)
-
-val fold_follow :
-  ?poll_interval_s:float ->
-  ?idle_polls:int ->
-  path:string ->
-  init:'a ->
-  f:('a -> string -> 'a) ->
-  finish:('a -> string option -> 'b) ->
-  unit ->
-  'b
-(** [fold_follow ~path ~init ~f ~finish ()] folds [f] over the complete
-    lines of [path] as they appear, polling every [poll_interval_s]
-    seconds (default 0.05), until [idle_polls] (default 3) consecutive
-    polls deliver nothing; then returns [finish acc pending] where
-    [pending] is the torn tail left on disk, if any.  A file that is
-    already complete is folded in one poll and costs
-    [(idle_polls - 1) * poll_interval_s] of idle waiting.
-    @raise Invalid_argument if [poll_interval_s < 0] or
-    [idle_polls < 1]. *)
 
 (** {2 Field accessors} *)
 

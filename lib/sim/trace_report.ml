@@ -224,13 +224,15 @@ let read_file path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_channel ic)
 
-(* Live tailing: fold the stream via Jsonl's tail until the producer
-   goes quiet, then treat whatever unterminated bytes remain exactly as
-   read_channel treats a torn final line.  This is what lets
-   `rbb trace-report --follow` watch a simulation that is still
-   writing.  [live] (when given) observes the summary-so-far after each
-   poll that delivered lines — the hook behind the one-line progress
-   reports `--follow` prints while it pairs with `rbb top`. *)
+(* Tailing: fold the stream via Jsonl's tail until the writer goes
+   idle, then treat whatever unterminated bytes remain exactly as
+   read_channel treats a torn final line.  This is
+   `rbb trace-report --follow`.  It cannot watch `rbb simulate` run:
+   the tracer publishes its NDJSON file atomically at close, so a
+   simulation's trace appears only when the run ends.  [live] (when
+   given) observes the summary-so-far after each poll that delivered
+   lines — the hook behind the one-line progress reports `--follow`
+   prints. *)
 
 type live = {
   live_rounds : int;

@@ -35,8 +35,9 @@
 type t
 
 type sink_spec = [ `Buffer of Buffer.t | `File of string ]
-(** Where a stream goes.  [`File path] streams into [path ^ ".tmp"] and
-    renames onto [path] at {!close}. *)
+(** Where a stream goes.  [`File path] streams into
+    [path ^ ".tmp.<pid>.<k>"] and renames onto [path] at {!close}, so
+    [path] appears only when the trace is complete. *)
 
 val noop : t
 (** The disabled tracer: every operation is a single pattern match. *)

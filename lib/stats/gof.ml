@@ -1,9 +1,8 @@
 (* Goodness-of-fit machinery: exact-tail chi-square via the regularized
    incomplete gamma function, and the two-sample Kolmogorov-Smirnov test
-   with the asymptotic tail.  Chi2 keeps the cheap Wilson-Hilferty
-   approximation for quick monitoring; the distributional test suite
-   uses this module because its p-values are good to ~1e-10 in the df
-   and sample ranges we test. *)
+   with the asymptotic tail.  This is the repo's one implementation of
+   both tests: every statistical gate thresholds its p-values, which are
+   good to ~1e-10 in the df and sample ranges we test. *)
 
 (* Lanczos approximation (g = 7, 9 coefficients), |error| < 1e-13 for
    real x > 0. *)

@@ -1,12 +1,11 @@
 (** Goodness-of-fit tests with exact tails.
 
-    {!Chi2} approximates the chi-square tail with Wilson-Hilferty, which
-    is fine for dashboards; the distributional test suite
-    ([test/test_distributional.ml]) needs p-values it can threshold
-    tightly, so this module computes the chi-square CDF through the
-    regularized incomplete gamma function (series + continued fraction,
-    Lanczos log-gamma) and adds the two-sample Kolmogorov-Smirnov test
-    with the standard asymptotic tail. *)
+    The distributional test suite ([test/test_distributional.ml]) needs
+    p-values it can threshold tightly, so this module computes the
+    chi-square CDF through the regularized incomplete gamma function
+    (series + continued fraction, Lanczos log-gamma) and adds the
+    two-sample Kolmogorov-Smirnov test with the standard asymptotic
+    tail. *)
 
 val log_gamma : float -> float
 (** [log_gamma x] is [ln (Gamma x)] for [x > 0] (Lanczos, g = 7;

@@ -226,6 +226,24 @@ let config_errors () =
   Tutil.check_raises_invalid "load out of range" (fun () ->
       ignore (Config.load (Config.uniform ~n:3) 3))
 
+let config_pp () =
+  Alcotest.(check string)
+    "pp" "[1; 0; 3; 0; 2] (m=6, max=3, empty=2)"
+    (Format.asprintf "%a" Config.pp (Config.of_array [| 1; 0; 3; 0; 2 |]))
+
+let config_owns_its_loads () =
+  (* of_array and loads both copy, so neither the caller's array nor
+     the returned one aliases the configuration. *)
+  let a = [| 2; 0; 1 |] in
+  let c = Config.of_array a in
+  a.(0) <- 9;
+  Alcotest.(check int) "input copied" 2 (Config.load c 0);
+  let l = Config.loads c in
+  l.(1) <- 5;
+  Alcotest.(check int) "output copied" 0 (Config.load c 1);
+  Alcotest.(check bool) "loads round-trip" true
+    (Config.equal c (Config.of_array (Config.loads c)))
+
 (* ------------------------------------------------------------------ *)
 (* Process                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -788,6 +806,95 @@ let walks_cover_expectation_closed_form () =
   Tutil.check_close "n=2: 2*(1+1/2)" 3. (Walks.clique_single_cover_expectation 2);
   Tutil.check_close "n=1" 1. (Walks.clique_single_cover_expectation 1)
 
+let walks_round_and_accessors () =
+  let rng = Tutil.rng () in
+  let n = 12 in
+  let w =
+    Walks.create ~rng ~graph:(Rbb_graph.Build.cycle n)
+      ~init:(Config.all_in_one ~n ~m:7 ()) ()
+  in
+  Alcotest.(check int) "round 0" 0 (Walks.round w);
+  Alcotest.(check int) "n" n (Walks.n w);
+  Alcotest.(check int) "initial max load" 7 (Walks.max_load w);
+  Alcotest.(check int) "initial empty bins" (n - 1) (Walks.empty_bins w);
+  Walks.step w;
+  Alcotest.(check int) "round 1" 1 (Walks.round w);
+  Walks.run w ~rounds:9;
+  Alcotest.(check int) "round 10" 10 (Walks.round w);
+  let c = Walks.config w in
+  Alcotest.(check int) "balls" 7 (Config.balls c);
+  Alcotest.(check int) "max load" (Config.max_load c) (Walks.max_load w);
+  Alcotest.(check int) "empty bins" (Config.empty_bins c) (Walks.empty_bins w);
+  for u = 0 to n - 1 do
+    Alcotest.(check int) (Printf.sprintf "load %d" u) (Config.load c u) (Walks.load w u)
+  done;
+  Tutil.check_raises_invalid "load out of range" (fun () -> ignore (Walks.load w n))
+
+let walks_pile_disperses_on_clique () =
+  (* Theorem 1 on the implicit complete graph: from all balls in one
+     bin, the load-only walk reaches the legitimate band within O(n)
+     rounds, as the per-ball process does. *)
+  let rng = Tutil.rng () in
+  let n = 256 in
+  let w =
+    Walks.create ~rng ~graph:(Rbb_graph.Csr.complete n)
+      ~init:(Config.all_in_one ~n ~m:n ()) ()
+  in
+  let threshold = Config.legitimacy_threshold n in
+  while Walks.max_load w > threshold && Walks.round w < 20 * n do
+    Walks.step w
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "legitimate after %d rounds (<= 4n)" (Walks.round w))
+    true
+    (Walks.max_load w <= threshold && Walks.round w <= 4 * n)
+
+let walks_single_cover_cycle_and_path () =
+  (* Simple random walk: the expected cover time of the n-cycle is
+     n (n - 1) / 2, and a walk started at one end of the n-path covers
+     it when it first hits the other end, after (n - 1)^2 steps on
+     average. *)
+  let rng = Tutil.rng () in
+  let mean_cover graph =
+    let w = Rbb_stats.Welford.create () in
+    for _ = 1 to 400 do
+      match
+        Walks.single_walk_cover_time ~rng ~graph ~start:0 ~max_rounds:1_000_000
+      with
+      | None -> Alcotest.fail "walk did not cover"
+      | Some r -> Rbb_stats.Welford.add w (float_of_int r)
+    done;
+    Rbb_stats.Welford.mean w
+  in
+  Tutil.check_rel ~tol:0.1 "cycle, n = 16" 120. (mean_cover (Rbb_graph.Build.cycle 16));
+  Tutil.check_rel ~tol:0.1 "path, n = 12" 121. (mean_cover (Rbb_graph.Build.path 12))
+
+let walks_cover_edge_cases () =
+  let rng = Tutil.rng () in
+  Alcotest.(check (option int))
+    "one node is covered at once" (Some 0)
+    (Walks.single_walk_cover_time ~rng ~graph:(Rbb_graph.Csr.complete 1) ~start:0
+       ~max_rounds:0);
+  Alcotest.(check (option int))
+    "no rounds, no cover" None
+    (Walks.single_walk_cover_time ~rng ~graph:(Rbb_graph.Build.cycle 5) ~start:0
+       ~max_rounds:0);
+  (match
+     Walks.single_walk_cover_time ~rng ~graph:(Rbb_graph.Build.path 6) ~start:0
+       ~max_rounds:100_000
+   with
+  | Some r -> Alcotest.(check bool) "a 6-path needs >= 5 steps" true (r >= 5)
+  | None -> Alcotest.fail "path not covered");
+  List.iter
+    (fun start ->
+      Tutil.check_raises_invalid
+        (Printf.sprintf "start %d" start)
+        (fun () ->
+          ignore
+            (Walks.single_walk_cover_time ~rng ~graph:(Rbb_graph.Build.cycle 5)
+               ~start ~max_rounds:10)))
+    [ -1; 5 ]
+
 let walks_size_mismatch () =
   let rng = Tutil.rng () in
   Tutil.check_raises_invalid "mismatch" (fun () ->
@@ -874,6 +981,8 @@ let suite =
         Tutil.quick "legitimacy: invalid arguments" config_legitimacy_errors;
         Tutil.quick "histogram/copy" config_histogram_and_copy;
         Tutil.quick "errors" config_errors;
+        Tutil.quick "pp" config_pp;
+        Tutil.quick "owns its loads" config_owns_its_loads;
       ] );
     ( "core.process",
       [
@@ -947,6 +1056,10 @@ let suite =
         Tutil.slow "single-walk cover (coupon collector)" walks_single_cover_clique;
         Tutil.quick "cover expectation closed form" walks_cover_expectation_closed_form;
         Tutil.quick "size mismatch" walks_size_mismatch;
+        Tutil.quick "round counter and accessors" walks_round_and_accessors;
+        Tutil.slow "pile disperses on the clique (Thm 1)" walks_pile_disperses_on_clique;
+        Tutil.slow "single-walk cover on cycle and path" walks_single_cover_cycle_and_path;
+        Tutil.quick "cover-time edge cases" walks_cover_edge_cases;
       ] );
     ( "core.adversary",
       [

@@ -259,6 +259,21 @@ let mm1_pmf_sums_to_one () =
   done;
   Tutil.check_close ~tol:1e-9 "normalized" 1. !acc
 
+let mm1_pmf_mean_matches_closed_form () =
+  (* The geometric queue-length law has mean rho / (1 - rho). *)
+  List.iter
+    (fun lambda ->
+      let acc = ref 0. in
+      for k = 1 to 2000 do
+        acc :=
+          !acc +. (float_of_int k *. Rbb_queueing.Mm1.queue_length_pmf ~lambda ~mu:1. k)
+      done;
+      Tutil.check_close ~tol:1e-9
+        (Printf.sprintf "lambda = %g" lambda)
+        (Rbb_queueing.Mm1.mean_queue_length ~lambda ~mu:1.)
+        !acc)
+    [ 0.1; 0.5; 0.9 ]
+
 let mm1_expected_max_bounds () =
   let e1 = Rbb_queueing.Mm1.expected_max_of_n ~lambda:0.5 ~mu:1. ~n:1 in
   (* n = 1: E[max] = E[Q] = 1. *)
@@ -460,6 +475,7 @@ let suite =
       [
         Tutil.quick "closed forms" mm1_closed_forms;
         Tutil.quick "pmf normalized" mm1_pmf_sums_to_one;
+        Tutil.quick "pmf mean = rho/(1-rho)" mm1_pmf_mean_matches_closed_form;
         Tutil.quick "expected max" mm1_expected_max_bounds;
       ] );
     ( "queueing.open_network",

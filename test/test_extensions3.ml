@@ -1,5 +1,5 @@
 (* Tests for the async scheduler, rotor-router, spectral estimates,
-   bootstrap CIs, exact hitting times and arrival observation. *)
+   exact hitting times and arrival observation. *)
 
 open Rbb_core
 
@@ -215,49 +215,6 @@ let spectral_errors () =
            (Rbb_graph.Csr.of_edges ~n:3 [ (0, 1) ])))
 
 (* ------------------------------------------------------------------ *)
-(* Bootstrap                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let bootstrap_mean_ci_contains_truth () =
-  let g = Tutil.rng () in
-  let samples =
-    Array.init 400 (fun _ -> Rbb_prng.Sampler.gaussian g ~mu:10. ~sigma:2.)
-  in
-  let ci = Rbb_stats.Bootstrap.mean_ci g samples in
-  Alcotest.(check bool) "low < point < high" true
-    (ci.low <= ci.point && ci.point <= ci.high);
-  Alcotest.(check bool) "covers the truth" true (ci.low <= 10. && 10. <= ci.high);
-  (* Width should be around 4 * sigma/sqrt(n) = 0.4. *)
-  Alcotest.(check bool) "sane width" true (ci.high -. ci.low < 1.)
-
-let bootstrap_width_shrinks () =
-  let g = Tutil.rng () in
-  let sample k = Array.init k (fun _ -> Rbb_prng.Rng.float_unit g) in
-  let wide = Rbb_stats.Bootstrap.mean_ci g (sample 20) in
-  let narrow = Rbb_stats.Bootstrap.mean_ci g (sample 2000) in
-  Alcotest.(check bool) "narrower with more data" true
-    (narrow.high -. narrow.low < wide.high -. wide.low)
-
-let bootstrap_custom_statistic () =
-  let g = Tutil.rng () in
-  let samples = Array.init 200 (fun i -> float_of_int i) in
-  let ci =
-    Rbb_stats.Bootstrap.ci ~statistic:Rbb_stats.Quantile.median g samples
-  in
-  Tutil.check_rel ~tol:0.15 "median point" 99.5 ci.point;
-  Alcotest.(check bool) "interval around median" true
-    (ci.low < 99.5 && 99.5 < ci.high)
-
-let bootstrap_errors () =
-  let g = Tutil.rng () in
-  Tutil.check_raises_invalid "empty" (fun () ->
-      ignore (Rbb_stats.Bootstrap.mean_ci g [||]));
-  Tutil.check_raises_invalid "bad confidence" (fun () ->
-      ignore (Rbb_stats.Bootstrap.mean_ci ~confidence:1.5 g [| 1. |]));
-  Tutil.check_raises_invalid "bad resamples" (fun () ->
-      ignore (Rbb_stats.Bootstrap.mean_ci ~resamples:0 g [| 1. |]))
-
-(* ------------------------------------------------------------------ *)
 (* Hitting                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -427,13 +384,6 @@ let suite =
         Tutil.quick "complete bipartite" spectral_complete_bipartite;
         Tutil.quick "gap ordering" spectral_gap_orderings;
         Tutil.quick "errors" spectral_errors;
-      ] );
-    ( "stats.bootstrap",
-      [
-        Tutil.quick "mean CI" bootstrap_mean_ci_contains_truth;
-        Tutil.quick "width shrinks" bootstrap_width_shrinks;
-        Tutil.quick "custom statistic" bootstrap_custom_statistic;
-        Tutil.quick "errors" bootstrap_errors;
       ] );
     ( "markov.hitting",
       [

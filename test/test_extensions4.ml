@@ -68,24 +68,8 @@ let capacity_invalid () =
       ignore (Process.create ~capacity:0 ~rng ~init:(Config.uniform ~n:4) ()))
 
 (* ------------------------------------------------------------------ *)
-(* Chi2                                                                *)
+(* Chi-square goodness of fit of the samplers (Gof)                   *)
 (* ------------------------------------------------------------------ *)
-
-let chi2_statistic_exact () =
-  (* O = (10, 20), E = (15, 15): (25 + 25)/15 = 10/3. *)
-  Tutil.check_close ~tol:1e-9 "statistic" (10. /. 3.)
-    (Rbb_stats.Chi2.statistic ~observed:[| 10; 20 |] ~expected:[| 15.; 15. |]);
-  Tutil.check_close "perfect fit" 0.
-    (Rbb_stats.Chi2.statistic ~observed:[| 15; 15 |] ~expected:[| 15.; 15. |])
-
-let chi2_cdf_reference_values () =
-  (* Known quantiles: P(chi2_1 <= 3.841) = 0.95, P(chi2_5 <= 11.07) =
-     0.95 (within the Wilson-Hilferty approximation error). *)
-  Tutil.check_close ~tol:0.01 "df=1 95%" 0.95 (Rbb_stats.Chi2.cdf ~df:1 3.841);
-  Tutil.check_close ~tol:0.005 "df=5 95%" 0.95 (Rbb_stats.Chi2.cdf ~df:5 11.07);
-  Tutil.check_close ~tol:0.005 "df=10 median ~ 9.34" 0.5
-    (Rbb_stats.Chi2.cdf ~df:10 9.342);
-  Tutil.check_close "x=0" 0. (Rbb_stats.Chi2.cdf ~df:3 0.)
 
 let chi2_uniform_sampler_passes () =
   let g = Tutil.rng () in
@@ -95,8 +79,8 @@ let chi2_uniform_sampler_passes () =
     let v = Rbb_prng.Rng.int_below g k in
     observed.(v) <- observed.(v) + 1
   done;
-  let p =
-    Rbb_stats.Chi2.goodness_of_fit ~observed
+  let _, _, p =
+    Rbb_stats.Gof.chi2_gof_test ~observed
       ~probabilities:(Array.make k (1. /. float_of_int k))
   in
   Alcotest.(check bool) (Printf.sprintf "p = %.4f not tiny" p) true (p > 0.001)
@@ -110,8 +94,8 @@ let chi2_biased_sampler_fails () =
     let v = if Rbb_prng.Rng.int_below g 9 = 0 then 0 else Rbb_prng.Rng.int_below g k in
     observed.(v) <- observed.(v) + 1
   done;
-  let p =
-    Rbb_stats.Chi2.goodness_of_fit ~observed
+  let _, _, p =
+    Rbb_stats.Gof.chi2_gof_test ~observed
       ~probabilities:(Array.make k (1. /. float_of_int k))
   in
   Alcotest.(check bool) "bias detected" true (p < 1e-6)
@@ -130,16 +114,8 @@ let chi2_binomial_table_gof () =
   let probabilities =
     Array.init (n + 1) (Rbb_prng.Sampler.Binomial_table.pmf tbl)
   in
-  let pv = Rbb_stats.Chi2.goodness_of_fit ~observed ~probabilities in
+  let _, _, pv = Rbb_stats.Gof.chi2_gof_test ~observed ~probabilities in
   Alcotest.(check bool) (Printf.sprintf "p = %.4f" pv) true (pv > 0.001)
-
-let chi2_errors () =
-  Tutil.check_raises_invalid "length mismatch" (fun () ->
-      ignore (Rbb_stats.Chi2.statistic ~observed:[| 1 |] ~expected:[| 1.; 2. |]));
-  Tutil.check_raises_invalid "zero-cell observation" (fun () ->
-      ignore (Rbb_stats.Chi2.statistic ~observed:[| 1 |] ~expected:[| 0. |]));
-  Tutil.check_raises_invalid "df 0" (fun () ->
-      ignore (Rbb_stats.Chi2.cdf ~df:0 1.))
 
 (* ------------------------------------------------------------------ *)
 (* Grid                                                                *)
@@ -186,12 +162,9 @@ let suite =
       ] );
     ( "stats.chi2",
       [
-        Tutil.quick "statistic exact" chi2_statistic_exact;
-        Tutil.quick "cdf reference values" chi2_cdf_reference_values;
         Tutil.slow "uniform sampler passes" chi2_uniform_sampler_passes;
         Tutil.slow "biased sampler fails" chi2_biased_sampler_fails;
         Tutil.slow "binomial table GOF" chi2_binomial_table_gof;
-        Tutil.quick "errors" chi2_errors;
       ] );
     ( "sim.grid",
       [ Tutil.quick "pairs" grid_pairs; Tutil.quick "triples" grid_triples ] );

@@ -2,8 +2,7 @@
    codec, atomic file publication, a golden NDJSON/Chrome document under
    an injected clock, stride and threshold-event semantics, trajectory
    invariance under tracing on both engines, the trace-report analyzer,
-   NaN-hardened plotting, the O(trials) stopping rule, and Metrics
-   properties. *)
+   NaN-hardened plotting, and Metrics properties. *)
 
 open Rbb_core
 module Jsonl = Rbb_sim.Jsonl
@@ -75,6 +74,29 @@ let test_jsonl_parse () =
       "{\"a\"}";
       "[1,2]";
     ]
+
+let test_jsonl_typed_accessors () =
+  (* The typed finders answer only for their own type; the single
+     widening is an Int read as a float. *)
+  let fields =
+    [
+      ("i", Jsonl.Int 3);
+      ("f", Jsonl.Float 0.5);
+      ("s", Jsonl.String "7");
+      ("b", Jsonl.Bool true);
+    ]
+  in
+  Alcotest.(check (option int)) "int of float" None (Jsonl.find_int fields "f");
+  Alcotest.(check (option int)) "int of string" None (Jsonl.find_int fields "s");
+  Alcotest.(check (option int)) "int of bool" None (Jsonl.find_int fields "b");
+  Alcotest.(check (option (float 0.))) "float of int" (Some 3.)
+    (Jsonl.find_float fields "i");
+  Alcotest.(check (option (float 0.))) "float of string" None
+    (Jsonl.find_float fields "s");
+  Alcotest.(check (option string)) "string of int" None
+    (Jsonl.find_string fields "i");
+  Alcotest.(check bool) "raw bool" true (Jsonl.find fields "b" = Some (Jsonl.Bool true));
+  Alcotest.(check bool) "absent" true (Jsonl.find fields "zz" = None)
 
 let test_jsonl_roundtrip =
   let open QCheck2.Gen in
@@ -543,6 +565,17 @@ let test_trace_report_summary () =
     "span counts" [ ("p.launch", 1) ] r.Trace_report.spans;
   Alcotest.(check int) "nothing skipped" 0 r.Trace_report.skipped
 
+(* The three entry points fold the same lines: from a list, from a
+   channel and from a file, a complete document gives one report. *)
+let test_trace_report_readers_agree () =
+  let path = temp_path ".ndjson" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc golden_ndjson);
+  let expected = Trace_report.render (Trace_report.of_lines golden_report_lines) in
+  Alcotest.(check string) "read_file" expected
+    (Trace_report.render (Trace_report.read_file path));
+  Alcotest.(check string) "read_channel" expected
+    (Trace_report.render (In_channel.with_open_bin path Trace_report.read_channel))
+
 let test_trace_report_render () =
   let r = Trace_report.of_lines golden_report_lines in
   let expected =
@@ -633,72 +666,6 @@ let test_plot_nan () =
     (Tutil.contains_substring chart "\xe2\x96\x88")
 
 (* ------------------------------------------------------------------ *)
-(* Stopping: O(trials) rule matches the quadratic reference             *)
-(* ------------------------------------------------------------------ *)
-
-(* The pre-optimisation algorithm, kept verbatim as an oracle. *)
-let reference_run_until_precision ?engine ?(min_trials = 8) ?(max_trials = 1000)
-    ?(batch = 8) ~base_seed ~rel_precision f =
-  let samples = ref [] in
-  let count = ref 0 in
-  let next_seed () =
-    incr count;
-    Rbb_prng.Splitmix64.mix (Int64.add base_seed (Int64.of_int !count))
-  in
-  let run_one () =
-    let rng = Rbb_prng.Rng.create ?engine ~seed:(next_seed ()) () in
-    samples := f rng :: !samples
-  in
-  for _ = 1 to min_trials do
-    run_one ()
-  done;
-  let precise () =
-    let s = Rbb_stats.Summary.of_list !samples in
-    let half =
-      (s.Rbb_stats.Summary.ci95_high -. s.Rbb_stats.Summary.ci95_low) /. 2.
-    in
-    ( s,
-      half <= rel_precision *. Float.abs s.Rbb_stats.Summary.mean
-      || (s.Rbb_stats.Summary.mean = 0. && half = 0.) )
-  in
-  let rec loop () =
-    let s, ok = precise () in
-    if ok then (s, !count, true)
-    else if !count >= max_trials then (s, !count, false)
-    else begin
-      for _ = 1 to Stdlib.min batch (max_trials - !count) do
-        run_one ()
-      done;
-      loop ()
-    end
-  in
-  loop ()
-
-let test_stopping_matches_reference () =
-  List.iter
-    (fun (rel_precision, max_trials) ->
-      let f rng = 10. +. Rbb_prng.Rng.float_unit rng in
-      let r =
-        Rbb_sim.Stopping.run_until_precision ~base_seed:99L ~rel_precision
-          ~max_trials f
-      in
-      let ref_summary, ref_trials, ref_converged =
-        reference_run_until_precision ~base_seed:99L ~rel_precision ~max_trials
-          f
-      in
-      Alcotest.(check int) "same trial count" ref_trials r.Rbb_sim.Stopping.trials;
-      Alcotest.(check bool)
-        "same convergence verdict" ref_converged r.Rbb_sim.Stopping.converged;
-      let s = r.Rbb_sim.Stopping.summary in
-      Alcotest.(check int) "same n" ref_summary.Rbb_stats.Summary.n
-        s.Rbb_stats.Summary.n;
-      Tutil.check_close ~tol:0. "same mean" ref_summary.Rbb_stats.Summary.mean
-        s.Rbb_stats.Summary.mean;
-      Tutil.check_close ~tol:0. "same ci95_high"
-        ref_summary.Rbb_stats.Summary.ci95_high s.Rbb_stats.Summary.ci95_high)
-    [ (0.05, 1000); (0.001, 64) (* precise and capped paths *) ]
-
-(* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -758,6 +725,7 @@ let suite =
       [
         Tutil.quick "writer" test_jsonl_obj;
         Tutil.quick "parser" test_jsonl_parse;
+        Tutil.quick "typed accessors" test_jsonl_typed_accessors;
         test_jsonl_roundtrip;
       ] );
     ( "sim.fileio",
@@ -790,10 +758,9 @@ let suite =
         Tutil.quick "summary stats" test_trace_report_summary;
         Tutil.quick "golden render" test_trace_report_render;
         Tutil.quick "excursions and skips" test_trace_report_excursion_and_skips;
+        Tutil.quick "readers agree" test_trace_report_readers_agree;
       ] );
     ("sim.plot.nan", [ Tutil.quick "NaN handling" test_plot_nan ]);
-    ( "sim.stopping.welford",
-      [ Tutil.quick "matches quadratic reference" test_stopping_matches_reference ] );
     ( "core.metrics.fold",
       [
         test_metrics_properties;

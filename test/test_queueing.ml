@@ -157,66 +157,22 @@ let one_shot_samples_and_theory () =
   Tutil.check_raises_invalid "theory n<3" (fun () ->
       ignore (One_shot.theoretical_max_load 2))
 
-(* ------------------------------------------------------------------ *)
-(* Free walks                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let free_walks_basics () =
+let one_shot_exact_small_law () =
+  (* Three balls into three bins: max load 1 is a permutation (6/27),
+     3 is a single pile (3/27), 2 is everything else (18/27). *)
   let rng = Tutil.rng () in
-  let f = Free_walks.create ~rng ~n:10 ~m:10 ~track_cover:false in
-  Alcotest.(check int) "round 0" 0 (Free_walks.round f);
-  Free_walks.step f;
-  Alcotest.(check int) "round 1" 1 (Free_walks.round f);
-  Alcotest.(check bool) "max load in range" true
-    (Free_walks.max_load f >= 1 && Free_walks.max_load f <= 10)
-
-let free_walks_cover_single_walker () =
-  (* One unconstrained walker on n bins: coupon collector. *)
-  let rng = Tutil.rng () in
-  let w = Rbb_stats.Welford.create () in
-  for _ = 1 to 50 do
-    let f = Free_walks.create ~rng ~n:32 ~m:1 ~track_cover:true in
-    match Free_walks.run_until_covered f ~max_rounds:100_000 with
-    | None -> Alcotest.fail "did not cover"
-    | Some r -> Rbb_stats.Welford.add w (float_of_int r)
+  let observed = Array.make 3 0 in
+  for _ = 1 to 30_000 do
+    let v = One_shot.max_load rng ~n:3 ~m:3 in
+    observed.(v - 1) <- observed.(v - 1) + 1
   done;
-  Tutil.check_rel ~tol:0.15 "coupon collector"
-    (Rbb_core.Walks.clique_single_cover_expectation 32)
-    (Rbb_stats.Welford.mean w)
-
-let free_walks_all_cover_is_max_of_collectors () =
-  (* "All m walkers cover" is the max of m coupon collectors: it
-     exceeds the single-walker time but only by an additive n·log m,
-     i.e. within a small constant factor of it. *)
-  let rng = Tutil.rng () in
-  let n = 64 in
-  let mean_cover m trials =
-    let w = Rbb_stats.Welford.create () in
-    for _ = 1 to trials do
-      let f = Free_walks.create ~rng ~n ~m ~track_cover:true in
-      match Free_walks.run_until_covered f ~max_rounds:1_000_000 with
-      | Some r -> Rbb_stats.Welford.add w (float_of_int r)
-      | None -> Alcotest.fail "covering failed"
-    done;
-    Rbb_stats.Welford.mean w
+  let _, _, p =
+    Rbb_stats.Gof.chi2_gof_test ~observed
+      ~probabilities:[| 6. /. 27.; 18. /. 27.; 3. /. 27. |]
   in
-  let single = mean_cover 1 30 and all = mean_cover n 30 in
-  Alcotest.(check bool)
-    (Printf.sprintf "single %.0f <= all %.0f <= 4x single" single all)
-    true
-    (all >= single && all <= 4. *. single)
-
-let free_walks_cover_state () =
-  let rng = Tutil.rng () in
-  let f = Free_walks.create ~rng ~n:8 ~m:8 ~track_cover:true in
-  Alcotest.(check bool) "not covered at start" false (Free_walks.all_covered f);
-  (match Free_walks.run_until_covered f ~max_rounds:100_000 with
-  | None -> Alcotest.fail "did not cover"
-  | Some _ ->
-      Alcotest.(check bool) "all covered" true (Free_walks.all_covered f);
-      Alcotest.(check int) "covered count" 8 (Free_walks.covered_walkers f));
-  Tutil.check_raises_invalid "bad args" (fun () ->
-      ignore (Free_walks.create ~rng ~n:0 ~m:1 ~track_cover:false))
+  Alcotest.(check bool) (Printf.sprintf "p = %.4f not tiny" p) true (p > 1e-3);
+  (* One bin takes every ball. *)
+  Alcotest.(check int) "n = 1" 5 (One_shot.max_load rng ~n:1 ~m:5)
 
 let suite =
   [
@@ -242,12 +198,6 @@ let suite =
       [
         Tutil.quick "bounds" one_shot_bounds;
         Tutil.slow "samples vs theory" one_shot_samples_and_theory;
-      ] );
-    ( "queueing.free_walks",
-      [
-        Tutil.quick "basics" free_walks_basics;
-        Tutil.slow "single-walker coupon collector" free_walks_cover_single_walker;
-        Tutil.slow "all-cover = max of collectors" free_walks_all_cover_is_max_of_collectors;
-        Tutil.quick "cover state" free_walks_cover_state;
+        Tutil.slow "exact law at n = m = 3" one_shot_exact_small_law;
       ] );
   ]

@@ -212,6 +212,39 @@ let checkpoint_roundtrip () =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* Every shape a run can stop in comes back equal, on both engine
+   families: one bin, zero loads between non-zero ones, a single pile,
+   m far above n, and the empty system. *)
+let checkpoint_config_shapes () =
+  List.iter
+    (fun (name, init) ->
+      List.iter
+        (fun (kind, snap) ->
+          let path = temp_path ".ckpt" in
+          Checkpoint.save ~path snap;
+          match Checkpoint.load ~path () with
+          | Error e -> Alcotest.failf "%s, %s: %s" name kind e
+          | Ok snap' ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "%s, %s" name kind)
+                (Config.loads init)
+                (Config.loads snap'.Checkpoint.config))
+        [
+          ( "balls",
+            Checkpoint.capture_process
+              (Process.create ~rng:(mk_rng 21L) ~init ()) );
+          ( "counts",
+            Checkpoint.capture_counts
+              (Counts_process.create ~rng:(mk_rng 21L) ~init ()) );
+        ])
+    [
+      ("one bin", Config.of_array [| 5 |]);
+      ("sparse", Config.of_array [| 1; 0; 3; 0; 2 |]);
+      ("pile", Config.all_in_one ~bin:3 ~n:7 ~m:40 ());
+      ("m >> n", Config.balanced ~n:3 ~m:1_000_001);
+      ("empty system", Config.of_array [| 0; 0; 0 |]);
+    ]
+
 (* The codec's bytes, pinned: length and MD5 of the files of three fixed
    states — a per-ball run with a telemetry counter, a counts run whose
    loads span two full records and a 5-bin tail, and a counts run at
@@ -859,6 +892,7 @@ let suite =
         Tutil.quick "checkpoint: load errors" checkpoint_load_errors;
         Tutil.quick "checkpoint: golden bytes" checkpoint_golden_bytes;
         Tutil.quick "checkpoint: loads records" checkpoint_loads_records;
+        Tutil.quick "checkpoint: config shapes" checkpoint_config_shapes;
         Tutil.quick "resume: Process golden" resume_process_golden;
         Tutil.quick "resume: Sharded golden (cross-engine)" resume_sharded_golden;
         Tutil.prop "resume: bit-identical (both engines)" ~count:25

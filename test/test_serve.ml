@@ -2,8 +2,9 @@
    codec (round-trips under QCheck, frame extraction including
    oversized / malformed traffic), the admission queue's bounds and
    measurement plane, the crash-safe job runner's resume byte-identity,
-   the incremental Jsonl tail reader, the exclusive lock helper with
-   stale-pid takeover, and an in-process end-to-end daemon session. *)
+   the incremental Jsonl tail reader and the trace follower built on
+   it, the exclusive lock helper with stale-pid takeover, and an
+   in-process end-to-end daemon session. *)
 
 module Protocol = Rbb_serve.Protocol
 module Admission = Rbb_serve.Admission
@@ -12,6 +13,7 @@ module Daemon = Rbb_serve.Daemon
 module Client = Rbb_serve.Client
 module Jsonl = Rbb_sim.Jsonl
 module Fileio = Rbb_sim.Fileio
+module Trace_report = Rbb_sim.Trace_report
 
 let temp_dir prefix =
   let path = Filename.temp_file prefix "" in
@@ -569,49 +571,89 @@ let test_jsonl_tail_missing_file () =
       Alcotest.(check (list string))
         "appears later" [ "{\"x\":1}" ] (Jsonl.tail_poll t))
 
-let test_fold_follow_static () =
+let observable round =
+  Printf.sprintf
+    "{\"type\":\"observable\",\"round\":%d,\"max_load\":2,\"empty_bins\":20}\n"
+    round
+
+let test_follow_file_static () =
   let path = Filename.temp_file "rbb_follow" ".ndjson" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      append path "one\ntwo\nthree\ntorn";
-      let lines, pending =
-        Jsonl.fold_follow ~poll_interval_s:0.001 ~path ~init:[]
-          ~f:(fun acc l -> l :: acc)
-          ~finish:(fun acc pending -> (List.rev acc, pending))
-          ()
-      in
-      Alcotest.(check (list string)) "lines" [ "one"; "two"; "three" ] lines;
-      Alcotest.(check (option string)) "pending" (Some "torn") pending;
+      append path (observable 1 ^ observable 2 ^ observable 3);
+      append path "{\"type\":\"observ";
+      let r = Trace_report.follow_file ~poll_interval_s:0.001 path in
+      Alcotest.(check int) "observables" 3 r.Trace_report.observables;
+      Alcotest.(check bool) "torn tail flagged" true r.Trace_report.truncated_tail;
       Tutil.check_raises_invalid "idle_polls 0" (fun () ->
-          Jsonl.fold_follow ~idle_polls:0 ~path ~init:()
-            ~f:(fun () _ -> ())
-            ~finish:(fun () _ -> ())
-            ()))
+          ignore (Trace_report.follow_file ~idle_polls:0 path)))
 
-let test_fold_follow_live_writer () =
+let test_follow_file_live_writer () =
   (* A writer appending from another domain: the follower must deliver
-     every line exactly once, in order. *)
+     every record exactly once, in order. *)
   let path = Filename.temp_file "rbb_follow_live" ".ndjson" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
       let writer =
         Domain.spawn (fun () ->
             for i = 1 to 50 do
-              append path (Printf.sprintf "{\"i\":%d}\n" i);
+              append path (observable i);
               if i mod 10 = 0 then Unix.sleepf 0.002
             done)
       in
-      let lines =
-        Jsonl.fold_follow ~poll_interval_s:0.005 ~idle_polls:10 ~path ~init:[]
-          ~f:(fun acc l -> l :: acc)
-          ~finish:(fun acc _ -> List.rev acc)
-          ()
-      in
+      let r = Trace_report.follow_file ~poll_interval_s:0.005 ~idle_polls:10 path in
       Domain.join writer;
-      Alcotest.(check int) "all 50 lines" 50 (List.length lines);
-      List.iteri
-        (fun i l ->
-          Alcotest.(check string)
-            "in order" (Printf.sprintf "{\"i\":%d}" (i + 1)) l)
-        lines)
+      Alcotest.(check int) "all 50 records" 50 r.Trace_report.observables;
+      Alcotest.(check (option int)) "first round" (Some 1) r.Trace_report.first_round;
+      Alcotest.(check (option int)) "last round" (Some 50) r.Trace_report.last_round;
+      Alcotest.(check int) "nothing skipped" 0 r.Trace_report.skipped;
+      Alcotest.(check (list int)) "in order" (List.init 50 (fun i -> i + 1))
+        (Array.to_list
+           (Array.map
+              (fun s -> s.Rbb_core.Trace.round)
+              (Rbb_core.Trace.samples r.Trace_report.series))))
+
+let test_follow_file_matches_read_file () =
+  (* On a finished trace the follower is the one-shot reader after an
+     idle wait: same report, rendered byte for byte, before and after a
+     torn line is appended. *)
+  let path = Filename.temp_file "rbb_follow_same" ".ndjson" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      let n = 64 in
+      let tracer = Rbb_sim.Tracer.create ~n ~ndjson:(`File path) () in
+      let p =
+        Rbb_core.Process.create ~rng:(Tutil.rng ())
+          ~init:(Rbb_core.Config.all_in_one ~n ~m:n ()) ()
+      in
+      Rbb_core.Process.run ~probe:(Rbb_sim.Tracer.probe tracer) p ~rounds:300;
+      Rbb_sim.Tracer.close tracer;
+      let same what =
+        let followed = Trace_report.follow_file ~poll_interval_s:0.001 path in
+        Alcotest.(check string) what
+          (Trace_report.render (Trace_report.read_file path))
+          (Trace_report.render followed);
+        followed
+      in
+      let r = same "finished trace" in
+      Alcotest.(check int) "every round" 300 r.Trace_report.observables;
+      Alcotest.(check bool) "entered the legitimate band" true
+        (r.Trace_report.enters >= 1);
+      append path "{\"type\":\"observ";
+      let r' = same "torn tail" in
+      Alcotest.(check bool) "torn tail flagged" true r'.Trace_report.truncated_tail)
+
+let test_follow_file_empty () =
+  let path = Filename.temp_file "rbb_follow_empty" ".ndjson" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      let lives = ref 0 in
+      let r =
+        Trace_report.follow_file ~poll_interval_s:0.001
+          ~live:(fun _ -> incr lives)
+          path
+      in
+      Alcotest.(check int) "no observables" 0 r.Trace_report.observables;
+      Alcotest.(check (option int)) "no first round" None r.Trace_report.first_round;
+      Alcotest.(check int) "nothing skipped" 0 r.Trace_report.skipped;
+      Alcotest.(check bool) "no torn tail" false r.Trace_report.truncated_tail;
+      Alcotest.(check int) "no live snapshot without lines" 0 !lives)
 
 (* ------------------------------------------------------------------ *)
 (* Fileio locks                                                        *)
@@ -1155,8 +1197,10 @@ let suite =
       [
         Tutil.quick "incremental polls, torn tails" test_jsonl_tail;
         Tutil.quick "file may not exist yet" test_jsonl_tail_missing_file;
-        Tutil.quick "fold_follow on a finished file" test_fold_follow_static;
-        Tutil.quick "fold_follow races a live writer" test_fold_follow_live_writer;
+        Tutil.quick "follow_file on a finished file" test_follow_file_static;
+        Tutil.quick "follow_file races a live writer" test_follow_file_live_writer;
+        Tutil.quick "follow_file matches read_file" test_follow_file_matches_read_file;
+        Tutil.quick "follow_file on an empty file" test_follow_file_empty;
       ] );
     ( "sim.fileio.lock",
       [

@@ -182,7 +182,7 @@ let chi2_uniform () =
   let p = Process.create ~rng:(mk_rng 11L) ~init:(Config.uniform ~n) () in
   let observed = draw_histogram p ~n ~draws in
   let probabilities = Array.make n (1.0 /. float_of_int n) in
-  let pv = Rbb_stats.Chi2.goodness_of_fit ~observed ~probabilities in
+  let _, _, pv = Rbb_stats.Gof.chi2_gof_test ~observed ~probabilities in
   if pv < 1e-3 then Alcotest.failf "uniform law rejected: p = %g" pv
 
 let chi2_weighted () =
@@ -194,7 +194,7 @@ let chi2_weighted () =
   in
   let observed = draw_histogram p ~n ~draws in
   let probabilities = Array.map (fun w -> w /. total) weights in
-  let pv = Rbb_stats.Chi2.goodness_of_fit ~observed ~probabilities in
+  let _, _, pv = Rbb_stats.Gof.chi2_gof_test ~observed ~probabilities in
   if pv < 1e-3 then Alcotest.failf "weighted law rejected: p = %g" pv
 
 let chi2_two_choices () =
@@ -209,7 +209,7 @@ let chi2_two_choices () =
   let probabilities =
     Array.init n (fun u -> float_of_int ((2 * (n - 1 - u)) + 1) /. (nf *. nf))
   in
-  let pv = Rbb_stats.Chi2.goodness_of_fit ~observed ~probabilities in
+  let _, _, pv = Rbb_stats.Gof.chi2_gof_test ~observed ~probabilities in
   if pv < 1e-3 then Alcotest.failf "2-choices law rejected: p = %g" pv
 
 (* ------------------------------------------------------------------ *)

@@ -105,6 +105,57 @@ let replicate_fraction () =
   let all = Replicate.fraction ~base_seed:3L ~trials:10 (fun _ -> true) in
   Tutil.check_close "always true" 1. all
 
+let replicate_seeds_prefix_stable () =
+  (* Asking for more trials extends the seed list and keeps the earlier
+     seeds, so a replication can be grown without rerunning its first
+     trials under different streams. *)
+  let short = Replicate.seeds ~base:9L ~count:10 in
+  let long = Replicate.seeds ~base:9L ~count:100 in
+  Alcotest.(check (array int64)) "prefix" short (Array.sub long 0 10);
+  let distinct = Hashtbl.create 128 in
+  Array.iter (fun s -> Hashtbl.replace distinct s ()) long;
+  Alcotest.(check int) "100 distinct seeds" 100 (Hashtbl.length distinct);
+  let f rng = Rbb_prng.Rng.int_below rng 1_000_000 in
+  Alcotest.(check (array int))
+    "trials are prefix-stable too"
+    (Replicate.run ~base_seed:9L ~trials:10 f)
+    (Array.sub (Replicate.run ~base_seed:9L ~trials:100 f) 0 10)
+
+let replicate_summaries_agree_with_run () =
+  (* run_floats and fraction are run followed by a summary: the same
+     trials, so the same numbers, exactly. *)
+  let f rng = Rbb_prng.Rng.float_unit rng in
+  let s = Replicate.run_floats ~base_seed:4L ~trials:64 f in
+  let s' = Rbb_stats.Summary.of_array (Replicate.run ~base_seed:4L ~trials:64 f) in
+  Alcotest.(check int) "n" s'.n s.n;
+  Tutil.check_close ~tol:0. "mean" s'.mean s.mean;
+  Tutil.check_close ~tol:0. "ci95_low" s'.ci95_low s.ci95_low;
+  Tutil.check_close ~tol:0. "ci95_high" s'.ci95_high s.ci95_high;
+  let p rng = Rbb_prng.Rng.float_unit rng < 0.3 in
+  let hits =
+    Array.fold_left
+      (fun acc b -> if b then acc + 1 else acc)
+      0
+      (Replicate.run ~base_seed:4L ~trials:64 p)
+  in
+  Tutil.check_close ~tol:0. "fraction"
+    (float_of_int hits /. 64.)
+    (Replicate.fraction ~base_seed:4L ~trials:64 p)
+
+let replicate_engine_choice () =
+  (* The engine picks the generator family behind each derived seed:
+     same seeds, different streams, each reproducible. *)
+  let f rng = Rbb_prng.Rng.int_below rng 1_000_000 in
+  let xo = Replicate.run ~base_seed:2L ~trials:8 f in
+  let pcg = Replicate.run ~engine:Rbb_prng.Rng.Pcg ~base_seed:2L ~trials:8 f in
+  Alcotest.(check (array int))
+    "default is xoshiro" xo
+    (Replicate.run ~engine:Rbb_prng.Rng.Xoshiro ~base_seed:2L ~trials:8 f);
+  Alcotest.(check (array int))
+    "pcg reproducible" pcg
+    (Replicate.run ~engine:Rbb_prng.Rng.Pcg ~base_seed:2L ~trials:8 f);
+  Alcotest.(check bool) "families differ" true (xo <> pcg)
+
 (* ------------------------------------------------------------------ *)
 (* Experiment registry                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -160,6 +211,9 @@ let suite =
         Tutil.quick "run reproducible" replicate_run_count_and_reproducibility;
         Tutil.quick "floats summary" replicate_floats_summary;
         Tutil.quick "fraction" replicate_fraction;
+        Tutil.quick "seeds prefix-stable" replicate_seeds_prefix_stable;
+        Tutil.quick "summaries agree with run" replicate_summaries_agree_with_run;
+        Tutil.quick "engine choice" replicate_engine_choice;
       ] );
     ( "sim.experiment",
       [

@@ -1,37 +1,6 @@
 open Rbb_stats
 
 (* ------------------------------------------------------------------ *)
-(* Kahan                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let kahan_basic () =
-  let k = Kahan.create () in
-  Kahan.add k 1.;
-  Kahan.add k 2.;
-  Kahan.add k 3.;
-  Tutil.check_close "sum" 6. (Kahan.sum k);
-  Alcotest.(check int) "count" 3 (Kahan.count k);
-  Tutil.check_close "mean" 2. (Kahan.mean k)
-
-let kahan_compensation () =
-  (* 1 + 1e-16 added 10^7 times: naive summation in doubles loses the
-     small terms entirely; compensated summation keeps them. *)
-  let k = Kahan.create () in
-  Kahan.add k 1.;
-  for _ = 1 to 10_000_000 do
-    Kahan.add k 1e-16
-  done;
-  Tutil.check_close ~tol:1e-12 "compensated" (1. +. 1e-9) (Kahan.sum k)
-
-let kahan_empty () =
-  let k = Kahan.create () in
-  Tutil.check_close "empty sum" 0. (Kahan.sum k);
-  Tutil.check_close "empty mean" 0. (Kahan.mean k)
-
-let kahan_sum_array () =
-  Tutil.check_close "array" 10. (Kahan.sum_array [| 1.; 2.; 3.; 4. |])
-
-(* ------------------------------------------------------------------ *)
 (* Welford                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -83,6 +52,15 @@ let welford_numerical_stability () =
   let w = Welford.create () in
   List.iter (Welford.add w) [ 1e9 +. 4.; 1e9 +. 7.; 1e9 +. 13.; 1e9 +. 16. ];
   Tutil.check_close ~tol:1e-6 "variance at offset" 30. (Welford.variance w)
+
+let welford_std_error_and_pp () =
+  let w = Welford.create () in
+  List.iter (Welford.add w) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
+  (* sqrt (32/7) / sqrt 8 = sqrt (4/7). *)
+  Tutil.check_close ~tol:1e-12 "std error" (sqrt (4. /. 7.)) (Welford.std_error w);
+  Alcotest.(check string)
+    "pp" "n=8 mean=5 sd=2.13809"
+    (Format.asprintf "%a" Welford.pp w)
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -327,6 +305,40 @@ let summary_t_table () =
 let summary_empty () =
   Tutil.check_raises_invalid "empty" (fun () -> ignore (Summary.of_array [||]))
 
+let summary_constant_sample () =
+  (* No spread, no uncertainty: every location statistic is the value
+     and the CI has zero width. *)
+  let s = Summary.of_array (Array.make 8 42.) in
+  Tutil.check_close "stddev" 0. s.stddev;
+  Tutil.check_close "median" 42. s.median;
+  Tutil.check_close "q25" 42. s.q25;
+  Tutil.check_close "q75" 42. s.q75;
+  Tutil.check_close "CI low" 42. s.ci95_low;
+  Tutil.check_close "CI high" 42. s.ci95_high
+
+let summary_ci_covers_mean () =
+  let g = Tutil.rng () in
+  let samples =
+    Array.init 400 (fun _ -> Rbb_prng.Sampler.gaussian g ~mu:10. ~sigma:2.)
+  in
+  let s = Summary.of_array samples in
+  Alcotest.(check bool) "covers the true mean" true
+    (s.ci95_low <= 10. && 10. <= s.ci95_high);
+  (* Half-width is t * sd / sqrt n, about 1.96 * 2 / 20 here. *)
+  Tutil.check_rel ~tol:0.2 "half-width" (1.96 *. 2. /. 20.)
+    ((s.ci95_high -. s.ci95_low) /. 2.)
+
+let summary_quartiles_and_pp () =
+  (* 0, 1, ..., 199 under type-7 interpolation: h = 199 q. *)
+  let s = Summary.of_array (Array.init 200 float_of_int) in
+  Tutil.check_close "median" 99.5 s.median;
+  Tutil.check_close "q25" 49.75 s.q25;
+  Tutil.check_close "q75" 149.25 s.q75;
+  (* sd = sqrt 3350, so the half-CI is 1.96 * 57.88 / sqrt 200 = 8.02. *)
+  Alcotest.(check string)
+    "pp" "99.5 \xc2\xb1 8 [0, 199]"
+    (Format.asprintf "%a" Summary.pp s)
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -355,6 +367,52 @@ let prop_quantile_monotone =
       and q2 = Quantile.quantile a 0.5
       and q3 = Quantile.quantile a 0.8 in
       q1 <= q2 && q2 <= q3)
+
+let prop_summary_ci_centred =
+  Tutil.prop "summary CI is centred on the mean" ~count:100
+    QCheck2.Gen.(list_size (int_range 1 60) (float_range (-100.) 100.))
+    (fun xs ->
+      let s = Summary.of_list xs in
+      let tol = 1e-9 *. Float.max 1. (Float.abs s.mean) in
+      s.ci95_low <= s.mean && s.mean <= s.ci95_high
+      && Float.abs (s.mean -. s.ci95_low -. (s.ci95_high -. s.mean)) <= tol)
+
+let prop_quantiles_one_sort =
+  Tutil.prop "quantiles = quantile at each q" ~count:100
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 50) (float_range (-100.) 100.))
+        (list_size (int_range 0 6) (float_bound_inclusive 1.)))
+    (fun (xs, qs) ->
+      let a = Array.of_list xs in
+      List.equal Float.equal (Quantile.quantiles a qs)
+        (List.map (Quantile.quantile a) qs))
+
+let quantile_merged_errors () =
+  Tutil.check_raises_invalid "both empty" (fun () ->
+      ignore (Quantile.merged_quantile [||] [||] 0.5));
+  Tutil.check_raises_invalid "q out of range" (fun () ->
+      ignore (Quantile.merged_quantile [| 1. |] [| 2. |] (-0.1)));
+  Tutil.check_raises_invalid "NaN in either sample" (fun () ->
+      ignore (Quantile.merged_quantile [| 1. |] [| Float.nan; 2. |] 0.5));
+  Tutil.check_close "one side empty" 2. (Quantile.merged_quantile [||] [| 3.; 1. |] 0.5)
+
+let prop_int_hist_mean =
+  Tutil.prop "int histogram mean and tail fractions" ~count:100
+    QCheck2.Gen.(list_size (int_range 1 60) (int_range 0 40))
+    (fun xs ->
+      let open Histogram.Int_hist in
+      let h = create () in
+      List.iter (add h) xs;
+      let n = float_of_int (List.length xs) in
+      let mean = float_of_int (List.fold_left ( + ) 0 xs) /. n in
+      let at_least k =
+        float_of_int (List.length (List.filter (fun x -> x >= k) xs)) /. n
+      in
+      Float.abs (Histogram.Int_hist.mean h -. mean) <= 1e-9 *. Float.max 1. mean
+      && List.for_all
+           (fun k -> Float.abs (fraction_at_least h k -. at_least k) <= 1e-12)
+           [ 0; 1; 5; 20; 41 ])
 
 let prop_summary_bounds =
   Tutil.prop "summary min <= median <= max" ~count:100
@@ -545,15 +603,157 @@ let prop_gof_chi2_cdf_monotone =
       Gof.chi2_cdf ~df (x +. dx) >= Gof.chi2_cdf ~df x -. 1e-12
       && Gof.chi2_p_value ~df:(df + 1) x >= Gof.chi2_p_value ~df x -. 1e-12)
 
+let gof_ks_ties () =
+  (* F_a jumps to 1 at 0; F_b is 1/2 on [0, 1): sup |F_a - F_b| = 1/2. *)
+  Tutil.check_close ~tol:1e-12 "step at a shared point" 0.5
+    (Gof.ks_statistic [| 0.; 0. |] [| 0.; 1. |]);
+  (* Ties inside one sample: F_a = 1/4, 3/4, 1 at 1, 2, 4; F_b jumps to
+     1 at 2.  The gap is 1/4 at 1 and on [2, 4). *)
+  Tutil.check_close ~tol:1e-12 "ties within a sample" 0.25
+    (Gof.ks_statistic [| 1.; 2.; 2.; 4. |] [| 2.; 2.; 2.; 2. |])
+
+let gaussians g ~mu k =
+  Array.init k (fun _ -> Rbb_prng.Sampler.gaussian g ~mu ~sigma:1.)
+
+let gof_ks_same_law () =
+  let g = Tutil.rng () in
+  let d, p = Gof.ks_test (gaussians g ~mu:0. 2000) (gaussians g ~mu:0. 2000) in
+  Alcotest.(check bool) (Printf.sprintf "d = %.4f, p = %.4f not tiny" d p) true
+    (p > 1e-3)
+
+let gof_ks_detects_shift () =
+  let g = Tutil.rng () in
+  let d, p = Gof.ks_test (gaussians g ~mu:0. 2000) (gaussians g ~mu:1. 2000) in
+  (* A one-sigma shift moves the CDF by about 0.38 at the midpoint. *)
+  Alcotest.(check bool) (Printf.sprintf "d = %.4f near 0.38" d) true
+    (d > 0.3 && d < 0.46);
+  Alcotest.(check bool) "shift rejected" true (p < 1e-6)
+
+let gof_ks_inputs_untouched () =
+  let a = [| 3.; 1.; 2. |] and b = [| 9.; 0.5; 4.; 7. |] in
+  ignore (Gof.ks_statistic a b);
+  ignore (Gof.ks_test a b);
+  Alcotest.(check (array (float 0.))) "a" [| 3.; 1.; 2. |] a;
+  Alcotest.(check (array (float 0.))) "b" [| 9.; 0.5; 4.; 7. |] b
+
+let gof_chi2_cdf_reference () =
+  (* Even df have closed forms: P(chi2_2 <= x) = 1 - e^(-x/2) and
+     P(chi2_4 <= x) = 1 - e^(-x/2) (1 + x/2). *)
+  List.iter
+    (fun x ->
+      Tutil.check_close ~tol:1e-12
+        (Printf.sprintf "df=2 at %g" x)
+        (1. -. exp (-.x /. 2.))
+        (Gof.chi2_cdf ~df:2 x);
+      Tutil.check_close ~tol:1e-12
+        (Printf.sprintf "df=4 at %g" x)
+        (1. -. (exp (-.x /. 2.) *. (1. +. (x /. 2.))))
+        (Gof.chi2_cdf ~df:4 x))
+    [ 0.1; 1.; 3.; 7.5; 20. ];
+  (* Table quantiles: the 95% point of chi2_3 and the median of
+     chi2_10. *)
+  Tutil.check_close ~tol:1e-6 "df=3 95%" 0.95 (Gof.chi2_cdf ~df:3 7.814728);
+  Tutil.check_close ~tol:1e-6 "df=10 median" 0.5 (Gof.chi2_cdf ~df:10 9.341818)
+
+let gof_incomplete_gamma () =
+  (* P(1, x) = 1 - e^-x and P(1/2, x) = erf (sqrt x); P + Q = 1 on both
+     sides of the series / continued-fraction split at x = a + 1. *)
+  List.iter
+    (fun x ->
+      Tutil.check_close ~tol:1e-12
+        (Printf.sprintf "P(1, %g)" x)
+        (1. -. exp (-.x))
+        (Gof.gamma_p ~a:1. ~x);
+      Tutil.check_close ~tol:1e-12
+        (Printf.sprintf "P(1/2, %g)" x)
+        (Float.erf (sqrt x))
+        (Gof.gamma_p ~a:0.5 ~x))
+    [ 0.01; 0.5; 1.5; 4.; 12. ];
+  List.iter
+    (fun (a, x) ->
+      Tutil.check_close ~tol:1e-12
+        (Printf.sprintf "P + Q at (%g, %g)" a x)
+        1.
+        (Gof.gamma_p ~a ~x +. Gof.gamma_q ~a ~x))
+    [ (0.5, 0.2); (3., 1.); (3., 4.5); (25., 20.); (25., 40.) ]
+
+let gof_errors () =
+  Tutil.check_raises_invalid "KS empty" (fun () ->
+      ignore (Gof.ks_statistic [||] [| 1. |]));
+  Tutil.check_raises_invalid "cdf df 0" (fun () -> ignore (Gof.chi2_cdf ~df:0 1.));
+  Tutil.check_raises_invalid "p-value df 0" (fun () ->
+      ignore (Gof.chi2_p_value ~df:0 1.));
+  Tutil.check_raises_invalid "statistic length mismatch" (fun () ->
+      ignore (Gof.chi2_statistic ~observed:[| 1 |] ~expected:[| 1.; 2. |]));
+  Tutil.check_raises_invalid "zero expected cell" (fun () ->
+      ignore (Gof.chi2_statistic ~observed:[| 1 |] ~expected:[| 0. |]));
+  Tutil.check_raises_invalid "one cell" (fun () ->
+      ignore (Gof.chi2_gof_test ~observed:[| 4 |] ~probabilities:[| 1. |]));
+  Tutil.check_raises_invalid "empty sample" (fun () ->
+      ignore
+        (Gof.chi2_gof_test ~observed:[| 0; 0 |] ~probabilities:[| 0.5; 0.5 |]));
+  Tutil.check_raises_invalid "homogeneity mismatch" (fun () ->
+      ignore (Gof.chi2_homogeneity_test ~a:[| 1; 2 |] ~b:[| 1 |]));
+  Tutil.check_raises_invalid "log_gamma 0" (fun () -> ignore (Gof.log_gamma 0.));
+  Tutil.check_raises_invalid "gamma_p a 0" (fun () ->
+      ignore (Gof.gamma_p ~a:0. ~x:1.));
+  Tutil.check_raises_invalid "gamma_q x < 0" (fun () ->
+      ignore (Gof.gamma_q ~a:1. ~x:(-1.)))
+
+let prop_gof_ks_symmetric =
+  Tutil.prop "KS statistic symmetric, in [0, 1]" ~count:100
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 40) (float_range (-5.) 5.))
+        (list_size (int_range 1 40) (float_range (-5.) 5.)))
+    (fun (xs, ys) ->
+      let a = Array.of_list xs and b = Array.of_list ys in
+      let d = Gof.ks_statistic a b in
+      Float.equal d (Gof.ks_statistic b a) && d >= 0. && d <= 1.)
+
+(* chi2_gof_test is chi2_statistic against expected = p_i * total, with
+   df = cells - 1 and the exact upper tail. *)
+let prop_gof_chi2_test_composes =
+  Tutil.prop "chi2_gof_test = statistic + upper tail" ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 2 10) (pair (int_range 0 50) (float_range 0.1 5.)))
+    (fun cells ->
+      let observed = Array.of_list (List.map fst cells) in
+      let weights = Array.of_list (List.map snd cells) in
+      let total = Array.fold_left ( + ) 0 observed in
+      QCheck2.assume (total > 0);
+      let wsum = Array.fold_left ( +. ) 0. weights in
+      let probabilities = Array.map (fun w -> w /. wsum) weights in
+      let stat, df, p = Gof.chi2_gof_test ~observed ~probabilities in
+      let expected =
+        Array.map (fun q -> q *. float_of_int total) probabilities
+      in
+      Float.equal stat (Gof.chi2_statistic ~observed ~expected)
+      && df = Array.length observed - 1
+      && Float.equal p (Gof.chi2_p_value ~df stat))
+
+let prop_gof_homogeneity_symmetric =
+  Tutil.prop "homogeneity test symmetric in its samples" ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 2 8) (pair (int_range 1 60) (int_range 1 60)))
+    (fun cells ->
+      let a = Array.of_list (List.map fst cells)
+      and b = Array.of_list (List.map snd cells) in
+      let s, df, p = Gof.chi2_homogeneity_test ~a ~b in
+      let s', df', p' = Gof.chi2_homogeneity_test ~a:b ~b:a in
+      Float.abs (s -. s') <= 1e-9 *. Float.max 1. s
+      && df = df'
+      && Float.abs (p -. p') <= 1e-12)
+
+let prop_gof_log_gamma_recurrence =
+  Tutil.prop "log-gamma satisfies Gamma(x+1) = x Gamma(x)" ~count:100
+    QCheck2.Gen.(float_range 0.05 60.)
+    (fun x ->
+      Float.abs (Gof.log_gamma (x +. 1.) -. Gof.log_gamma x -. log x)
+      <= 1e-10 *. Float.max 1. (Float.abs (Gof.log_gamma (x +. 1.))))
+
 let suite =
   [
-    ( "stats.kahan",
-      [
-        Tutil.quick "basic" kahan_basic;
-        Tutil.slow "compensation" kahan_compensation;
-        Tutil.quick "empty" kahan_empty;
-        Tutil.quick "sum_array" kahan_sum_array;
-      ] );
     ( "stats.welford",
       [
         Tutil.quick "known values" welford_known_values;
@@ -561,6 +761,7 @@ let suite =
         Tutil.quick "merge = concat" welford_merge_equals_concat;
         Tutil.quick "merge with empty" welford_merge_with_empty;
         Tutil.quick "numerical stability" welford_numerical_stability;
+        Tutil.quick "std error and pp" welford_std_error_and_pp;
         prop_welford_matches_naive;
       ] );
     ( "stats.histogram",
@@ -573,6 +774,7 @@ let suite =
         Tutil.quick "float invalid" float_hist_invalid;
         Tutil.quick "float merge geometry" float_hist_merge_geometry;
         prop_int_hist_merge;
+        prop_int_hist_mean;
         prop_float_hist_merge;
       ] );
     ( "stats.quantile",
@@ -586,6 +788,8 @@ let suite =
         prop_quantile_monotone;
         prop_quantile_agrees_with_old_path;
         prop_merged_quantile;
+        Tutil.quick "merged errors" quantile_merged_errors;
+        prop_quantiles_one_sort;
       ] );
     ( "stats.regression",
       [
@@ -603,7 +807,11 @@ let suite =
         Tutil.quick "single sample" summary_single_sample;
         Tutil.quick "t table" summary_t_table;
         Tutil.quick "empty" summary_empty;
+        Tutil.quick "constant sample" summary_constant_sample;
+        Tutil.quick "CI covers the mean" summary_ci_covers_mean;
+        Tutil.quick "quartiles and pp" summary_quartiles_and_pp;
         prop_summary_bounds;
+        prop_summary_ci_centred;
       ] );
     ( "stats.gof",
       [
@@ -613,6 +821,17 @@ let suite =
         Tutil.quick "chi-square statistic/test" gof_chi2_statistic_and_test;
         Tutil.quick "homogeneity" gof_homogeneity;
         Tutil.quick "KS basic" gof_ks_test_basic;
+        Tutil.quick "KS with ties" gof_ks_ties;
+        Tutil.slow "KS same law" gof_ks_same_law;
+        Tutil.slow "KS detects shift" gof_ks_detects_shift;
+        Tutil.quick "KS leaves inputs untouched" gof_ks_inputs_untouched;
+        Tutil.quick "chi-square cdf reference values" gof_chi2_cdf_reference;
+        Tutil.quick "incomplete gamma closed forms" gof_incomplete_gamma;
+        Tutil.quick "errors" gof_errors;
         prop_gof_chi2_cdf_monotone;
+        prop_gof_ks_symmetric;
+        prop_gof_chi2_test_composes;
+        prop_gof_homogeneity_symmetric;
+        prop_gof_log_gamma_recurrence;
       ] );
   ]

@@ -1,5 +1,5 @@
-(* Tests for the terminal plotting helpers, empirical CDFs / KS
-   distance, and keyed PRNG substreams. *)
+(* Tests for the terminal plotting helpers and keyed PRNG
+   substreams. *)
 
 (* ------------------------------------------------------------------ *)
 (* Plot                                                                *)
@@ -69,70 +69,6 @@ let histogram_plot () =
     (Tutil.contains_substring s "3" && Tutil.contains_substring s "7")
 
 (* ------------------------------------------------------------------ *)
-(* Ecdf                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let ecdf_eval_exact () =
-  let e = Rbb_stats.Ecdf.of_array [| 1.; 2.; 2.; 4. |] in
-  Alcotest.(check int) "size" 4 (Rbb_stats.Ecdf.size e);
-  Tutil.check_close "below min" 0. (Rbb_stats.Ecdf.eval e 0.5);
-  Tutil.check_close "at 1" 0.25 (Rbb_stats.Ecdf.eval e 1.);
-  Tutil.check_close "at 2 (ties)" 0.75 (Rbb_stats.Ecdf.eval e 2.);
-  Tutil.check_close "between" 0.75 (Rbb_stats.Ecdf.eval e 3.9);
-  Tutil.check_close "at max" 1. (Rbb_stats.Ecdf.eval e 4.);
-  Tutil.check_close "above max" 1. (Rbb_stats.Ecdf.eval e 100.)
-
-let ecdf_quantile_matches_quantile_module () =
-  let samples = [| 5.; 1.; 3.; 2.; 4. |] in
-  let e = Rbb_stats.Ecdf.of_array samples in
-  Tutil.check_close "median" (Rbb_stats.Quantile.median samples)
-    (Rbb_stats.Ecdf.quantile e 0.5)
-
-let ks_identical_is_zero () =
-  let a = Rbb_stats.Ecdf.of_array [| 1.; 2.; 3. |] in
-  Tutil.check_close "self distance" 0. (Rbb_stats.Ecdf.ks_distance a a)
-
-let ks_disjoint_is_one () =
-  let a = Rbb_stats.Ecdf.of_array [| 1.; 2. |] in
-  let b = Rbb_stats.Ecdf.of_array [| 10.; 20. |] in
-  Tutil.check_close "disjoint supports" 1. (Rbb_stats.Ecdf.ks_distance a b)
-
-let ks_known_value () =
-  (* F1 jumps at 0 (all mass), F2 jumps at 0 (half) and 1 (half):
-     sup diff = 0.5 at x in [0,1). *)
-  let a = Rbb_stats.Ecdf.of_array [| 0.; 0. |] in
-  let b = Rbb_stats.Ecdf.of_array [| 0.; 1. |] in
-  Tutil.check_close "half" 0.5 (Rbb_stats.Ecdf.ks_distance a b)
-
-let ks_same_distribution_below_critical () =
-  let g = Tutil.rng () in
-  let sample () =
-    Array.init 2000 (fun _ -> Rbb_prng.Sampler.gaussian g ~mu:0. ~sigma:1.)
-  in
-  let d = Rbb_stats.Ecdf.ks_distance (Rbb_stats.Ecdf.of_array (sample ()))
-            (Rbb_stats.Ecdf.of_array (sample ())) in
-  let crit = Rbb_stats.Ecdf.ks_critical ~alpha:0.001 ~n1:2000 ~n2:2000 in
-  Alcotest.(check bool)
-    (Printf.sprintf "d=%.4f below critical %.4f" d crit)
-    true (d < crit)
-
-let ks_different_distributions_above_critical () =
-  let g = Tutil.rng () in
-  let a = Array.init 2000 (fun _ -> Rbb_prng.Sampler.gaussian g ~mu:0. ~sigma:1.) in
-  let b = Array.init 2000 (fun _ -> Rbb_prng.Sampler.gaussian g ~mu:1. ~sigma:1.) in
-  let d = Rbb_stats.Ecdf.ks_distance (Rbb_stats.Ecdf.of_array a) (Rbb_stats.Ecdf.of_array b) in
-  let crit = Rbb_stats.Ecdf.ks_critical ~alpha:0.001 ~n1:2000 ~n2:2000 in
-  Alcotest.(check bool) "shifted means detected" true (d > crit)
-
-let ecdf_errors () =
-  Tutil.check_raises_invalid "empty" (fun () ->
-      ignore (Rbb_stats.Ecdf.of_array [||]));
-  Tutil.check_raises_invalid "bad alpha" (fun () ->
-      ignore (Rbb_stats.Ecdf.ks_critical ~alpha:0. ~n1:5 ~n2:5));
-  Tutil.check_raises_invalid "bad size" (fun () ->
-      ignore (Rbb_stats.Ecdf.ks_critical ~alpha:0.05 ~n1:0 ~n2:5))
-
-(* ------------------------------------------------------------------ *)
 (* Stream                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -194,17 +130,6 @@ let suite =
         Tutil.quick "bar chart edge cases" bar_chart_empty_and_negative;
         Tutil.quick "line plot" line_plot_shape;
         Tutil.quick "int histogram" histogram_plot;
-      ] );
-    ( "stats.ecdf",
-      [
-        Tutil.quick "eval exact" ecdf_eval_exact;
-        Tutil.quick "quantile" ecdf_quantile_matches_quantile_module;
-        Tutil.quick "KS self" ks_identical_is_zero;
-        Tutil.quick "KS disjoint" ks_disjoint_is_one;
-        Tutil.quick "KS known value" ks_known_value;
-        Tutil.slow "KS same distribution" ks_same_distribution_below_critical;
-        Tutil.slow "KS detects shift" ks_different_distributions_above_critical;
-        Tutil.quick "errors" ecdf_errors;
       ] );
     ( "prng.stream",
       [
