@@ -157,7 +157,7 @@ let e3 ~quick =
         ])
     ns;
   Table.print
-    ~caption:"Empty-bin fraction after round 1 (claim: never below 1/4; equilibrium ~ 1/e ~ 0.37)"
+    ~caption:"Empty-bin fraction after round 1 (claim: never below 1/4; equilibrium ~ sqrt 2 - 1 ~ 0.41)"
     table
 
 (* ------------------------------------------------------------------ *)

@@ -6,10 +6,10 @@
    wall-clock times and their ratio to BENCH_counts_speedup.json.  The
    engines share the process law but not the randomness law, so unlike
    the sharded bench no bit-identity is asserted — the distributional
-   equivalence gate lives in test/test_distributional.ml.  The counts
-   engine gets proportionally more rounds: it is the one whose
-   per-round cost we are resolving, and the balls engine's cost per
-   round is ~10x larger. *)
+   equivalence gate lives in test/test_distributional.ml.  Both engines
+   time the same number of rounds: since the per-ball kernel draws each
+   block's destinations in one bulk call their per-round costs are of
+   the same order at n = 10^6. *)
 
 open Rbb_core
 
@@ -22,12 +22,11 @@ let json_path = "BENCH_counts_speedup.json"
 
 let run ?(quick = false) () =
   let n = if quick then 100_000 else 1_000_000 in
-  let balls_rounds = if quick then 20 else 60 in
-  let counts_rounds = if quick then 200 else 600 in
+  let rounds = if quick then 100 else 300 in
   let seed = 2025L in
   Printf.printf
-    "\n=== KERNEL: per-ball vs count-based engine (n=%d, %d/%d rounds) ===\n\n"
-    n balls_rounds counts_rounds;
+    "\n=== KERNEL: per-ball vs count-based engine (n=%d, %d rounds each) ===\n\n"
+    n rounds;
   let init = Config.uniform ~n in
   let balls =
     Process.create ~rng:(Rbb_prng.Rng.create ~seed ()) ~init ()
@@ -35,8 +34,8 @@ let run ?(quick = false) () =
   (* One untimed round per engine first: page in the arrays so neither
      side pays first-touch faults inside its measured window. *)
   Process.step balls;
-  let t_balls = wall (fun () -> Process.run balls ~rounds:balls_rounds) in
-  let balls_ms = 1e3 *. t_balls /. float_of_int balls_rounds in
+  let t_balls = wall (fun () -> Process.run balls ~rounds) in
+  let balls_ms = 1e3 *. t_balls /. float_of_int rounds in
   Printf.printf "per-ball  Process.run        : %8.3f s  (%.3f ms/round)\n%!"
     t_balls balls_ms;
   let counts =
@@ -55,10 +54,10 @@ let run ?(quick = false) () =
      scan), on the state after warm-up and after the measured run. *)
   check ();
   let t_counts =
-    wall (fun () -> Counts_process.run counts ~rounds:counts_rounds)
+    wall (fun () -> Counts_process.run counts ~rounds)
   in
   check ();
-  let counts_ms = 1e3 *. t_counts /. float_of_int counts_rounds in
+  let counts_ms = 1e3 *. t_counts /. float_of_int rounds in
   Printf.printf "counts    Counts_process.run : %8.3f s  (%.3f ms/round)\n%!"
     t_counts counts_ms;
   let speedup = balls_ms /. counts_ms in
@@ -74,9 +73,9 @@ let run ?(quick = false) () =
   Printf.fprintf oc
     "{\n\
     \  \"bench\": \"counts_speedup\",\n\
+    \  %s,\n\
     \  \"n\": %d,\n\
-    \  \"balls_rounds\": %d,\n\
-    \  \"counts_rounds\": %d,\n\
+    \  \"rounds\": %d,\n\
     \  \"seed\": %Ld,\n\
     \  \"balls_seconds\": %.6f,\n\
     \  \"counts_seconds\": %.6f,\n\
@@ -89,7 +88,7 @@ let run ?(quick = false) () =
     \  \"final_legitimate\": %b,\n\
     \  \"final_empty_bins\": %d\n\
      }\n"
-    n balls_rounds counts_rounds seed t_balls t_counts balls_ms counts_ms
+    (Box.json_fields ~quick) n rounds seed t_balls t_counts balls_ms counts_ms
     speedup !conserved
     (Counts_process.max_load counts)
     threshold legitimate

@@ -57,11 +57,11 @@ let run ?(quick = false) () =
   Printf.fprintf oc
     "{\n\
     \  \"bench\": \"sharded_speedup\",\n\
+    \  %s,\n\
     \  \"n\": %d,\n\
     \  \"rounds\": %d,\n\
     \  \"shards\": %d,\n\
     \  \"domains\": %d,\n\
-    \  \"cores\": %d,\n\
     \  \"seed\": %Ld,\n\
     \  \"sequential_seconds\": %.6f,\n\
     \  \"sharded_seconds\": %.6f,\n\
@@ -72,7 +72,8 @@ let run ?(quick = false) () =
     \  \"sequential_telemetry\": %s,\n\
     \  \"sharded_telemetry\": %s\n\
      }\n"
-    n rounds shards domains cores seed t_seq t_par speedup identical
+    (Box.json_fields ~quick) n rounds shards domains seed t_seq t_par speedup
+    identical
     (Process.max_load seq) (Process.empty_bins seq)
     (Rbb_sim.Telemetry.to_json_string seq_tel)
     (Rbb_sim.Telemetry.to_json_string par_tel);

@@ -7,8 +7,9 @@
     in each 4096-bin block (an exact uniform multinomial over blocks,
     drawn by recursive binomial splitting — {!Rbb_prng.Multinomial}),
     then split each block's arrival total down to its bins, then settle.
-    Same per-round load law as {!Process}, roughly an order of magnitude
-    faster at [n = 10^6] (see BENCH_counts_speedup.json).
+    Same per-round load law as {!Process}, and about the same cost per
+    round at [n = 10^6] now that {!Process} draws each block's
+    destinations in one bulk call (see BENCH_counts_speedup.json).
 
     {2 Randomness law}
 

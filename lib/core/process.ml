@@ -125,13 +125,28 @@ let destination t =
   draw_destination ~rng:t.rng ~loads:t.loads ~d:t.d ~alias:t.weights
 
 let step_launch ~rng ~loads ~arrivals ~capacity ~d ?alias ~lo ~hi () =
-  for u = lo to hi - 1 do
-    let k = Stdlib.min loads.(u) capacity in
-    for _ = 1 to k do
-      let v = draw_destination ~rng ~loads ~d ~alias in
-      arrivals.(v) <- arrivals.(v) + 1
-    done
-  done
+  match alias with
+  | None when d = 1 ->
+      (* Uniform destinations do not depend on the releasing bin, and
+         only their histogram is kept, so the block's released balls
+         take one bulk draw: the same [int_below] draws, in the same
+         order, as one call per ball. *)
+      let count = ref 0 in
+      for u = lo to hi - 1 do
+        (* Branchless [min load capacity]: see [step_settle_into]. *)
+        let l = loads.(u) - capacity in
+        count := !count + capacity + (l asr 62 land l)
+      done;
+      Rbb_prng.Rng.scatter_below rng ~bound:(Array.length loads) ~count:!count
+        ~into:arrivals
+  | _ ->
+      for u = lo to hi - 1 do
+        let k = Stdlib.min loads.(u) capacity in
+        for _ = 1 to k do
+          let v = draw_destination ~rng ~loads ~d ~alias in
+          arrivals.(v) <- arrivals.(v) + 1
+        done
+      done
 
 let step_settle_into ~src ~dst ~arrivals ~capacity ~lo ~hi =
   (* Validate the slice once, then run unchecked: per-element bounds
@@ -161,7 +176,12 @@ let step_settle ~loads ~arrivals ~capacity ~lo ~hi =
    derived stream per randomness shard. *)
 let launch t =
   let bins = Array.length t.loads in
-  Array.fill t.arrivals 0 bins 0;
+  (* A plain store loop: [Array.fill] compares each element before it
+     stores, and last round's arrivals are zero about half the time. *)
+  let arrivals = t.arrivals in
+  for u = 0 to bins - 1 do
+    Array.unsafe_set arrivals u 0
+  done;
   let engine = Rbb_prng.Rng.engine t.rng in
   for s = 0 to shard_count ~bins - 1 do
     let lo, hi = shard_bounds ~bins ~shard:s in

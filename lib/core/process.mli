@@ -176,7 +176,11 @@ val step_launch :
     destination (destinations range over {e all} bins).  Reads [loads]
     without mutating it; all randomness comes from [rng], which must be
     the {!Rbb_prng.Stream.for_shard} stream of this round and shard for
-    engines that want reproducibility. *)
+    engines that want reproducibility.  [arrivals] must be at least as
+    long as [loads].  With [d = 1] and no [alias] the block's
+    destinations come from one {!Rbb_prng.Rng.scatter_below} call,
+    which draws exactly what one [int_below] per ball, in bin order,
+    would draw. *)
 
 val step_settle :
   loads:int array -> arrivals:int array -> capacity:int -> lo:int -> hi:int ->

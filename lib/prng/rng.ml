@@ -75,22 +75,45 @@ let split t =
 
 let bits30 t = Int64.to_int (Int64.shift_right_logical (next_u64 t) 34)
 
+(* Smallest all-ones mask covering [n - 1], for [n >= 2].  A bounded
+   draw keeps the top 62 bits of a word under this mask and rejects
+   values [>= n]: unbiased, with at most one expected retry.
+   [int_below] and [scatter_below] both draw by this definition. *)
+let mask_below n =
+  let m = n - 1 in
+  let m = m lor (m lsr 1) in
+  let m = m lor (m lsr 2) in
+  let m = m lor (m lsr 4) in
+  let m = m lor (m lsr 8) in
+  let m = m lor (m lsr 16) in
+  m lor (m lsr 32)
+
 let int_below t n =
   if n <= 0 then invalid_arg "Rng.int_below: bound must be positive";
   if n = 1 then 0
   else begin
-    (* Smallest all-ones mask covering [n - 1], then rejection: unbiased
-       and at most one expected retry. *)
-    let m = n - 1 in
-    let mask = ref m in
-    List.iter (fun s -> mask := !mask lor (!mask lsr s)) [ 1; 2; 4; 8; 16; 32 ];
-    let mask = !mask in
+    let mask = mask_below n in
     let rec draw () =
       let v = Int64.to_int (Int64.shift_right_logical (next_u64 t) 2) land mask in
       if v < n then v else draw ()
     in
     draw ()
   end
+
+let scatter_below t ~bound ~count ~into =
+  if bound <= 0 then invalid_arg "Rng.scatter_below: bound must be positive";
+  if count < 0 then invalid_arg "Rng.scatter_below: count < 0";
+  if Array.length into < bound then
+    invalid_arg "Rng.scatter_below: into is shorter than bound";
+  if bound = 1 then into.(0) <- into.(0) + count
+  else
+    match t.state with
+    | Sx g -> Xoshiro256.scatter_below g ~mask:(mask_below bound) ~bound ~count ~into
+    | Sp _ | Ss _ ->
+        for _ = 1 to count do
+          let v = int_below t bound in
+          Array.unsafe_set into v (Array.unsafe_get into v + 1)
+        done
 
 let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";

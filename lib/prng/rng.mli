@@ -74,6 +74,17 @@ val int_below : t -> int -> int
 (** [int_below t n] is uniform on [[0, n)].  Unbiased (mask-and-reject).
     @raise Invalid_argument if [n <= 0]. *)
 
+val scatter_below : t -> bound:int -> count:int -> into:int array -> unit
+(** [scatter_below t ~bound ~count ~into] adds 1 to [into] at each of
+    [count] indexes drawn exactly as [count] successive
+    [int_below t bound] calls would draw them, and leaves [t] in the
+    state those calls would leave: [bound = 1] or [count = 0] draws
+    nothing.  The xoshiro engine runs the whole batch in one loop with
+    its state in registers, an order of magnitude faster than the calls;
+    this is the per-ball round kernel's launch phase.
+    @raise Invalid_argument if [bound <= 0], [count < 0] or
+    [Array.length into < bound]. *)
+
 val int_in_range : t -> lo:int -> hi:int -> int
 (** [int_in_range t ~lo ~hi] is uniform on the inclusive range
     [[lo, hi]].  @raise Invalid_argument if [hi < lo]. *)

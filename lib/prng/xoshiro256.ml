@@ -66,6 +66,32 @@ let fill_int62 g a ~pos ~len =
   g.s2 <- !s2;
   g.s3 <- !s3
 
+let scatter_below g ~mask ~bound ~count ~into =
+  if bound <= 0 || Array.length into < bound then
+    invalid_arg "Xoshiro256.scatter_below: bound <= 0 or into too short";
+  (* One loop with the state in registers, as in [fill_int62]. *)
+  let s0 = ref g.s0 and s1 = ref g.s1 and s2 = ref g.s2 and s3 = ref g.s3 in
+  let left = ref count in
+  while !left > 0 do
+    let result = Int64.mul (rotl (Int64.mul !s1 5L) 7) 9L in
+    let t = Int64.shift_left !s1 17 in
+    s2 := Int64.logxor !s2 !s0;
+    s3 := Int64.logxor !s3 !s1;
+    s1 := Int64.logxor !s1 !s2;
+    s0 := Int64.logxor !s0 !s3;
+    s2 := Int64.logxor !s2 t;
+    s3 := rotl !s3 45;
+    let v = Int64.to_int (Int64.shift_right_logical result 2) land mask in
+    if v < bound then begin
+      Array.unsafe_set into v (Array.unsafe_get into v + 1);
+      decr left
+    end
+  done;
+  g.s0 <- !s0;
+  g.s1 <- !s1;
+  g.s2 <- !s2;
+  g.s3 <- !s3
+
 (* Jump polynomial coefficients from the reference implementation
    (xoshiro256plusplus.c / xoshiro256starstar.c, same state transition). *)
 let jump_coeffs =

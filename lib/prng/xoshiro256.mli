@@ -35,6 +35,16 @@ val fill_int62 : t -> int array -> pos:int -> len:int -> unit
     a loop, but batched so the state stays in registers.
     @raise Invalid_argument if the range is out of bounds. *)
 
+val scatter_below :
+  t -> mask:int -> bound:int -> count:int -> into:int array -> unit
+(** [scatter_below g ~mask ~bound ~count ~into] draws until [count]
+    values [v = (next_u64 g lsr 2) land mask] have fallen below [bound],
+    adding 1 to [into.(v)] for each: {!Rbb_prng.Rng.scatter_below}'s
+    loop for this engine, with the state kept in registers.  [mask]
+    must cover [bound - 1] for the draws to be uniform.
+    @raise Invalid_argument if [bound <= 0] or
+    [Array.length into < bound]. *)
+
 val jump : t -> unit
 (** [jump g] advances [g] by [2^128] steps in place.  Calling [jump] on a
     copy yields a stream guaranteed not to overlap the original for

@@ -379,6 +379,57 @@ let process_invalid_d () =
   Tutil.check_raises_invalid "d = 0" (fun () ->
       ignore (Process.create ~d_choices:0 ~rng ~init:(Config.uniform ~n:4) ()))
 
+(* The per-ball law written out one ball at a time: each randomness
+   block draws from its own (master, round, block) stream, in bin order,
+   one [int_below] per released ball.  The engine's d = 1 kernel draws
+   in bulk and must follow this trajectory exactly. *)
+let reference_round ~engine ~master ~round ~capacity loads =
+  let bins = Array.length loads in
+  let arrivals = Array.make bins 0 in
+  for s = 0 to Process.shard_count ~bins - 1 do
+    let lo, hi = Process.shard_bounds ~bins ~shard:s in
+    let rng = Rbb_prng.Stream.for_shard ~engine ~master ~round ~shard:s () in
+    for u = lo to hi - 1 do
+      for _ = 1 to min loads.(u) capacity do
+        let v = Rbb_prng.Rng.int_below rng bins in
+        arrivals.(v) <- arrivals.(v) + 1
+      done
+    done
+  done;
+  Process.step_settle ~loads ~arrivals ~capacity ~lo:0 ~hi:bins
+
+let process_matches_per_ball_reference () =
+  List.iter
+    (fun (engine, n, capacity, m) ->
+      let what =
+        Printf.sprintf "%s n=%d capacity=%d m=%d"
+          (Rbb_prng.Rng.engine_name engine) n capacity m
+      in
+      let seed = Int64.of_int (n + capacity + m) in
+      let init = Config.random (Rbb_prng.Rng.create ~seed ()) ~n ~m in
+      let rng = Rbb_prng.Rng.create ~engine ~seed () in
+      let master = Process.shard_master (Rbb_prng.Rng.copy rng) in
+      let p = Process.create ~capacity ~rng ~init () in
+      let loads = Config.loads init in
+      for round = 0 to 49 do
+        let max_l, empty = reference_round ~engine ~master ~round ~capacity loads in
+        Process.step p;
+        if not (Config.equal (Config.of_array loads) (Process.config p)) then
+          Alcotest.failf "%s: loads differ after round %d" what (round + 1);
+        Alcotest.(check (pair int int)) (what ^ ": max load, empty bins")
+          (max_l, empty)
+          (Process.max_load p, Process.empty_bins p)
+      done)
+    (List.concat_map
+       (fun engine ->
+         List.concat_map
+           (fun n ->
+             List.concat_map
+               (fun capacity -> [ (engine, n, capacity, n); (engine, n, capacity, 3 * n) ])
+               [ 1; 3 ])
+           [ 1; 3; 4097; 10_000 ])
+       Rbb_prng.Rng.[ Xoshiro; Pcg; Splitmix ])
+
 let prop_process_conservation =
   Tutil.prop "ball conservation over random runs" ~count:50
     QCheck2.Gen.(triple (int_range 2 64) (int_range 0 128) (int_range 0 1_000_000))
@@ -999,6 +1050,8 @@ let suite =
         Tutil.slow "two-choices helps" process_d_choices_helps;
         Tutil.quick "set_config" process_set_config;
         Tutil.quick "invalid d" process_invalid_d;
+        Tutil.quick "d = 1 follows the per-ball reference"
+          process_matches_per_ball_reference;
         prop_process_conservation;
       ] );
     ( "core.tetris",

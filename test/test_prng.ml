@@ -525,6 +525,64 @@ let fill_edge_cases () =
       Rng.fill_int62 g buf ~pos:2 ~len:3)
 
 (* ------------------------------------------------------------------ *)
+(* scatter_below                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The bulk draw must add exactly the histogram of [count] successive
+   int_below draws, and leave the generator where those draws leave it,
+   on every engine: the per-ball round kernel's trajectories depend on
+   it.  [into] starts non-zero and one slot longer than [bound], so an
+   overwrite or an out-of-range index shows. *)
+let scatter_matches_int_below engine () =
+  List.iter
+    (fun bound ->
+      List.iter
+        (fun count ->
+          let what = Printf.sprintf "bound %d count %d" bound count in
+          let a = Rng.create ~engine ~seed:0xB0A7L () in
+          ignore (Rng.next_u64 a);
+          let b = Rng.copy a in
+          let start i = i land 7 in
+          let got = Array.init (bound + 1) start in
+          Rng.scatter_below a ~bound ~count ~into:got;
+          let expect = Array.init (bound + 1) start in
+          for _ = 1 to count do
+            let v = Rng.int_below b bound in
+            expect.(v) <- expect.(v) + 1
+          done;
+          let diff = ref (-1) in
+          Array.iteri
+            (fun i x -> if !diff < 0 && x <> expect.(i) then diff := i)
+            got;
+          Alcotest.(check int) (what ^ ": first differing index") (-1) !diff;
+          Alcotest.(check int64) (what ^ ": state advanced identically")
+            (Rng.next_u64 b) (Rng.next_u64 a))
+        [ 0; 1; 5000 ])
+    [ 1; 2; 3; 1000; 4096; 65537; 1_000_003 ]
+
+let scatter_edge_cases engine () =
+  (* Bound 1 and count 0 draw nothing. *)
+  let g = Rng.create ~engine ~seed:9L () in
+  let fresh = Rng.copy g in
+  let into = [| 4; 5 |] in
+  Rng.scatter_below g ~bound:1 ~count:7 ~into;
+  Alcotest.(check (array int)) "bound 1 lands in bin 0" [| 11; 5 |] into;
+  Rng.scatter_below g ~bound:2 ~count:0 ~into;
+  Alcotest.(check (array int)) "count 0 is a no-op" [| 11; 5 |] into;
+  Alcotest.(check int64) "nothing drawn" (Rng.next_u64 fresh) (Rng.next_u64 g);
+  Tutil.check_raises_invalid "bound 0" (fun () ->
+      Rng.scatter_below g ~bound:0 ~count:0 ~into);
+  Tutil.check_raises_invalid "negative bound" (fun () ->
+      Rng.scatter_below g ~bound:(-3) ~count:1 ~into);
+  Tutil.check_raises_invalid "negative count" (fun () ->
+      Rng.scatter_below g ~bound:2 ~count:(-1) ~into);
+  Tutil.check_raises_invalid "into shorter than bound" (fun () ->
+      Rng.scatter_below g ~bound:3 ~count:1 ~into);
+  Tutil.check_raises_invalid "xoshiro loop checks into too" (fun () ->
+      Xoshiro256.scatter_below (Xoshiro256.create ~seed:1L) ~mask:3 ~bound:3
+        ~count:1 ~into)
+
+(* ------------------------------------------------------------------ *)
 (* Multinomial splitting                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -767,6 +825,17 @@ let suite =
         Tutil.quick "splitmix matches next_u64"
           (fill_matches_next_u64 Rng.Splitmix);
         Tutil.quick "edge cases" fill_edge_cases;
+      ] );
+    ( "prng.scatter_below",
+      [
+        Tutil.quick "xoshiro matches int_below"
+          (scatter_matches_int_below Rng.Xoshiro);
+        Tutil.quick "pcg matches int_below" (scatter_matches_int_below Rng.Pcg);
+        Tutil.quick "splitmix matches int_below"
+          (scatter_matches_int_below Rng.Splitmix);
+        Tutil.quick "xoshiro edge cases" (scatter_edge_cases Rng.Xoshiro);
+        Tutil.quick "pcg edge cases" (scatter_edge_cases Rng.Pcg);
+        Tutil.quick "splitmix edge cases" (scatter_edge_cases Rng.Splitmix);
       ] );
     ( "prng.multinomial",
       [
